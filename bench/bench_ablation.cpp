@@ -9,7 +9,7 @@
 ///      (the paper fixes 600; we sweep).
 
 #include "bench_common.hpp"
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "opt/standalone.hpp"
 #include "util/stats.hpp"
 
@@ -38,12 +38,14 @@ int main(int argc, char** argv) {
     std::printf("design b11: %s\n\n", design.to_string().c_str());
 
     // Shared records for A and B.
+    bg::ThreadPool& pool = bgbench::pool();
     const auto guided_records = bg::core::generate_guided_samples(
-        design, scale.train_samples, 0xAB1A);
+        design, scale.train_samples, 0xAB1A, {}, nullptr, nullptr, &pool);
     const auto random_records = bg::core::generate_random_samples(
-        design, scale.train_samples, 0xAB1A);
+        design, scale.train_samples, 0xAB1A, {}, nullptr, &pool);
     const auto eval_records = bg::core::generate_random_samples(
-        design, std::max<std::size_t>(scale.train_samples / 2, 16), 0xEA1);
+        design, std::max<std::size_t>(scale.train_samples / 2, 16), 0xEA1,
+        {}, nullptr, &pool);
 
     // --- A: feature-set ablation ----------------------------------------
     {
@@ -54,9 +56,9 @@ int main(int argc, char** argv) {
                  {"static only", {true, false}},
                  {"dynamic only", {false, true}}}) {
             const auto ds = bg::core::build_dataset(design, guided_records,
-                                                    {}, cfg);
+                                                    {}, cfg, &pool);
             const auto eval_ds = bg::core::build_dataset(design, eval_records,
-                                                         {}, cfg);
+                                                         {}, cfg, &pool);
             bg::core::BoolGebraModel model(scale.model);
             const auto tr = bg::core::train_model(model, ds, scale.train);
             table.add_row({label,
@@ -72,13 +74,15 @@ int main(int argc, char** argv) {
     {
         bg::TablePrinter table({"training data", "best red. in set",
                                 "test MSE", "spearman(unseen)"});
-        const auto eval_ds = bg::core::build_dataset(design, eval_records);
+        const auto eval_ds =
+            bg::core::build_dataset(design, eval_records, {}, {}, &pool);
         for (const auto& [label, records] :
              std::vector<std::pair<std::string,
                                    const std::vector<bg::core::SampleRecord>*>>{
                  {"priority-guided", &guided_records},
                  {"purely random", &random_records}}) {
-            const auto ds = bg::core::build_dataset(design, *records);
+            const auto ds =
+                bg::core::build_dataset(design, *records, {}, {}, &pool);
             bg::core::BoolGebraModel model(scale.model);
             const auto tr = bg::core::train_model(model, ds, scale.train);
             table.add_row({label, std::to_string(ds.best_reduction()),
@@ -92,7 +96,8 @@ int main(int argc, char** argv) {
 
     // --- C: flow sampling-budget sweep -----------------------------------
     {
-        const auto ds = bg::core::build_dataset(design, guided_records);
+        const auto ds =
+            bg::core::build_dataset(design, guided_records, {}, {}, &pool);
         bg::core::BoolGebraModel model(scale.model);
         (void)bg::core::train_model(model, ds, scale.train);
         bg::TablePrinter table({"flow samples", "BG-Mean ratio",
@@ -104,7 +109,8 @@ int main(int argc, char** argv) {
             fc.num_samples = std::max<std::size_t>(budget, 12);
             fc.top_k = scale.flow_top_k;
             fc.seed = 0xC0FFEE;
-            const auto res = bg::core::run_flow(design, model, fc);
+            const auto res =
+                bg::core::run_flow(design, model, fc, {.pool = &pool});
             table.add_row({std::to_string(fc.num_samples),
                            bg::TablePrinter::fmt(res.bg_mean_ratio),
                            bg::TablePrinter::fmt(res.bg_best_ratio),
@@ -151,7 +157,8 @@ int main(int argc, char** argv) {
 
     // --- E: iterated flow (extension: commit best candidate, repeat) -----
     {
-        const auto ds = bg::core::build_dataset(design, guided_records);
+        const auto ds =
+            bg::core::build_dataset(design, guided_records, {}, {}, &pool);
         bg::core::BoolGebraModel model(scale.model);
         (void)bg::core::train_model(model, ds, scale.train);
         bg::core::FlowConfig fc;
@@ -161,8 +168,11 @@ int main(int argc, char** argv) {
         bg::TablePrinter table(
             {"max rounds", "rounds run", "final ratio", "total reduction"});
         for (const std::size_t rounds : {1UL, 2UL, 4UL}) {
-            const auto res =
-                bg::core::run_iterated_flow(design, model, fc, rounds);
+            // One round is the paper's single-shot flow: nothing is
+            // committed and the final ratio is BG-Best.
+            const auto res = bg::core::run_design_flow({"b11", design}, model,
+                                                       fc, rounds, &pool)
+                                 .iterated;
             int total = 0;
             for (const int r : res.per_round_reduction) {
                 total += r;

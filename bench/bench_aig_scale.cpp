@@ -12,43 +12,16 @@
 
 #include "aig/aig.hpp"
 #include "circuits/design_source.hpp"
+#include "circuits/generators.hpp"
 #include "core/features.hpp"
 #include "core/flow_engine.hpp"
 #include "core/model.hpp"
 #include "io/aiger.hpp"
 #include "util/progress.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Deterministic dense random AIG — same construction as the heavy
-/// test_aig_scale suite: few PIs, so the graph is deep and fanout-heavy
-/// like real netlists.
-bg::aig::Aig build_large(std::size_t pis, std::size_t ands,
-                         std::uint64_t seed) {
-    using namespace bg::aig;
-    Aig g;
-    g.reserve(1 + pis + ands);
-    bg::Rng rng(seed);
-    std::vector<Lit> pool = g.add_pis(pis);
-    pool.reserve(pis + ands);
-    while (g.num_ands() < ands) {
-        const Lit x = pool[rng.next_u64() % pool.size()];
-        const Lit y = pool[rng.next_u64() % pool.size()];
-        const Lit z = g.and_(lit_not_cond(x, rng.next_u64() % 2 != 0),
-                             lit_not_cond(y, rng.next_u64() % 2 != 0));
-        if (!g.is_and(lit_var(z))) {
-            continue;  // trivial simplification, no new node
-        }
-        pool.push_back(z);
-    }
-    for (std::size_t i = 0; i < 32 && i < pool.size(); ++i) {
-        g.add_po(pool[pool.size() - 1 - i]);
-    }
-    return g;
-}
 
 std::string mb(std::size_t bytes) {
     return bg::TablePrinter::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0),
@@ -86,7 +59,7 @@ int main(int argc, char** argv) {
     bg::Stopwatch sw;
 
     // -- construction -------------------------------------------------------
-    Aig g = build_large(64, k_ands, 42);
+    Aig g = bg::circuits::dense_random_aig(64, k_ands, 42);
     const double t_build = sw.seconds();
     table.add_row({"build (and_/strash)", bg::TablePrinter::fmt(t_build, 2),
                    rate(static_cast<double>(g.num_ands()), t_build)});
@@ -156,9 +129,10 @@ int main(int argc, char** argv) {
     fc.top_k = 1;
     fc.seed = 11;
 
+    bg::ThreadPool pool;  // default size: the static-feature checks dominate
     sw.reset();
     const auto res = bg::core::run_design_flow({"scale", loaded}, model, fc,
-                                               /*rounds=*/1, nullptr);
+                                               /*rounds=*/1, &pool);
     const double t_flow = sw.seconds();
     table.add_row({"size-objective flow round",
                    bg::TablePrinter::fmt(t_flow, 2),

@@ -15,9 +15,18 @@
 #include "core/model.hpp"
 #include "core/sampling.hpp"
 #include "core/trainer.hpp"
+#include "util/parallel.hpp"
 #include "util/progress.hpp"
 
 namespace bgbench {
+
+/// The harness's one worker pool (default size).  Sample generation,
+/// dataset features and flows all run on it, so a harness uses at most
+/// that many compute threads.
+inline bg::ThreadPool& pool() {
+    static bg::ThreadPool shared;
+    return shared;
+}
 
 struct Scale {
     bool full = false;
@@ -82,8 +91,9 @@ inline TrainedDesign train_design(const Scale& s, const std::string& name,
     TrainedDesign td{s.design(name), {}, bg::core::BoolGebraModel(s.model),
                      {}};
     const auto records = bg::core::generate_guided_samples(
-        td.design, s.train_samples, sample_seed);
-    td.dataset = bg::core::build_dataset(td.design, records);
+        td.design, s.train_samples, sample_seed, {}, nullptr, nullptr,
+        &pool());
+    td.dataset = bg::core::build_dataset(td.design, records, {}, {}, &pool());
     td.result = bg::core::train_model(td.model, td.dataset, s.train);
     return td;
 }

@@ -19,9 +19,11 @@ int main(int argc, char** argv) {
     for (const std::string name : {"b11", "b12", "c2670", "c5315"}) {
         const auto design = scale.design(name);
         const auto random = bg::core::generate_random_samples(
-            design, scale.fig2_samples, 0xF16'2);
+            design, scale.fig2_samples, 0xF16'2, {}, nullptr,
+            &bgbench::pool());
         const auto guided = bg::core::generate_guided_samples(
-            design, scale.fig2_samples, 0xF16'2);
+            design, scale.fig2_samples, 0xF16'2, {}, nullptr, nullptr,
+            &bgbench::pool());
 
         double lo = 1e18;
         double hi = -1e18;

@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
         // Unseen evaluation set: fresh random decision vectors.
         const auto eval_records = bg::core::generate_random_samples(
             td.design, std::max<std::size_t>(scale.train_samples / 2, 16),
-            0xEF'A1);
-        const auto eval_ds = bg::core::build_dataset(td.design, eval_records);
+            0xEF'A1, {}, nullptr, &bgbench::pool());
+        const auto eval_ds = bg::core::build_dataset(
+            td.design, eval_records, {}, {}, &bgbench::pool());
         std::vector<std::size_t> all(eval_ds.size());
         for (std::size_t i = 0; i < all.size(); ++i) {
             all[i] = i;

@@ -27,8 +27,10 @@ int main(int argc, char** argv) {
         const auto design = scale.design(name);
         const auto records = bg::core::generate_random_samples(
             design, std::max<std::size_t>(scale.train_samples / 2, 16),
-            0xF16'6);
-        EvalSet e{bg::core::build_dataset(design, records), {}};
+            0xF16'6, {}, nullptr, &bgbench::pool());
+        EvalSet e{bg::core::build_dataset(design, records, {}, {},
+                                          &bgbench::pool()),
+                  {}};
         for (const auto& s : e.ds.samples()) {
             e.labels.push_back(s.label);
         }

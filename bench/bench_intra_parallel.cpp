@@ -17,12 +17,12 @@
 #include "aig/aig.hpp"
 #include "aig/cec.hpp"
 #include "circuits/design_source.hpp"
+#include "circuits/generators.hpp"
 #include "circuits/registry.hpp"
 #include "io/aiger.hpp"
 #include "opt/orchestrate.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -31,31 +31,6 @@ using bg::aig::Aig;
 using bg::aig::Var;
 using bg::opt::DecisionVector;
 using bg::opt::OpKind;
-
-/// Deterministic dense random AIG (same construction as bench_aig_scale):
-/// few PIs, so the graph is deep and fanout-heavy like real netlists.
-Aig build_large(std::size_t pis, std::size_t ands, std::uint64_t seed) {
-    using namespace bg::aig;
-    Aig g;
-    g.reserve(1 + pis + ands);
-    bg::Rng rng(seed);
-    std::vector<Lit> pool = g.add_pis(pis);
-    pool.reserve(pis + ands);
-    while (g.num_ands() < ands) {
-        const Lit x = pool[rng.next_u64() % pool.size()];
-        const Lit y = pool[rng.next_u64() % pool.size()];
-        const Lit z = g.and_(lit_not_cond(x, rng.next_u64() % 2 != 0),
-                             lit_not_cond(y, rng.next_u64() % 2 != 0));
-        if (!g.is_and(lit_var(z))) {
-            continue;  // trivial simplification, no new node
-        }
-        pool.push_back(z);
-    }
-    for (std::size_t i = 0; i < 32 && i < pool.size(); ++i) {
-        g.add_po(pool[pool.size() - 1 - i]);
-    }
-    return g;
-}
 
 /// rw/rs/rf round-robin over every AND — the same shape a sampled flow
 /// round commits.
@@ -174,7 +149,7 @@ int main(int argc, char** argv) {
     fs::create_directories(dir);
     const std::string path = (dir / "intra.aig").string();
     {
-        const Aig g = build_large(64, k_file_ands, 42);
+        const Aig g = bg::circuits::dense_random_aig(64, k_file_ands, 42);
         bg::io::write_aiger_binary_file(g, path);
     }
     const Aig loaded = bg::circuits::load_design_spec("file:" + path);

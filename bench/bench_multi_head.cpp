@@ -52,9 +52,11 @@ int main(int argc, char** argv) {
                     bg::core::MetricHead::Luts};
         bg::core::BoolGebraModel model(mc);
         bg::Stopwatch sw;
+        bg::ThreadPool& pool = bgbench::pool();
         const auto records = bg::core::generate_guided_samples(
-            design, scale.train_samples, 7, {}, nullptr, &lut);
-        const auto ds = bg::core::build_dataset(design, records);
+            design, scale.train_samples, 7, {}, nullptr, &lut, &pool);
+        const auto ds =
+            bg::core::build_dataset(design, records, {}, {}, &pool);
         const auto tr = bg::core::train_model(model, ds, scale.train);
         std::printf("%s: trained %zu-head model, test MSE %.4f (%.1fs)\n",
                     name.c_str(), model.num_heads(), tr.final_test_loss,
@@ -67,10 +69,12 @@ int main(int argc, char** argv) {
             fc.seed = 13;
             fc.objective = bg::opt::make_objective(spec);
 
-            const auto by_head = bg::core::run_flow(design, model, fc);
+            const auto by_head =
+                bg::core::run_flow(design, model, fc, {.pool = &pool});
             bg::core::FlowConfig proxy = fc;
             proxy.ranking_head = bg::core::MetricHead::Size;
-            const auto by_proxy = bg::core::run_flow(design, model, proxy);
+            const auto by_proxy =
+                bg::core::run_flow(design, model, proxy, {.pool = &pool});
 
             Row row;
             row.design = name;

@@ -164,9 +164,10 @@ BENCHMARK(BM_OrchestratePass);
 
 void BM_StaticFeatures(benchmark::State& state) {
     const auto g = design();
+    bg::ThreadPool pool;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            bg::core::compute_static_features(g).size());
+            bg::core::compute_static_features(g, {}, &pool).size());
     }
 }
 BENCHMARK(BM_StaticFeatures);
@@ -278,8 +279,10 @@ BENCHMARK(BM_LutMapping);
 
 void BM_ModelForwardBackward(benchmark::State& state) {
     const auto g = design();
-    const auto records = bg::core::generate_guided_samples(g, 8, 1);
-    const auto ds = bg::core::build_dataset(g, records);
+    bg::ThreadPool pool;
+    const auto records =
+        bg::core::generate_guided_samples(g, 8, 1, {}, nullptr, nullptr, &pool);
+    const auto ds = bg::core::build_dataset(g, records, {}, {}, &pool);
     bg::core::ModelConfig cfg = bg::core::ModelConfig::quick();
     cfg.sage_dims = {32, 32, 16};
     cfg.mlp_dims = {32, 16, 1};

@@ -26,8 +26,11 @@
 ///            committed under (default size = AND count); the pruning
 ///            scores come from the model head matching the objective
 ///            (size stands in when the checkpoint lacks the head);
-///            --intra-workers parallelizes candidate checks *inside* each
-///            orchestration pass (bit-identical to sequential);
+///            --workers sizes the one worker pool every job runs on (0 =
+///            hardware concurrency); --intra-workers >= 2 also speculates
+///            the candidate checks *inside* each orchestration pass on that
+///            pool (bit-identical to sequential; the pool size sets the
+///            parallelism);
 ///            --incremental-features maintains per-design features across
 ///            committed rounds instead of rebuilding them
 ///   serve    <design...>|--all [flow flags] [--repeat N]
@@ -230,9 +233,12 @@ int cmd_sample(Aig g, std::vector<std::string> args) {
         seed_arg ? static_cast<std::uint64_t>(std::atoll(seed_arg->c_str()))
                  : 1;
 
+    bg::ThreadPool pool;
     const auto samples =
-        guided ? bg::core::generate_guided_samples(g, n, seed)
-               : bg::core::generate_random_samples(g, n, seed);
+        guided ? bg::core::generate_guided_samples(g, n, seed, {}, nullptr,
+                                                   nullptr, &pool)
+               : bg::core::generate_random_samples(g, n, seed, {}, nullptr,
+                                                   &pool);
     std::vector<double> reductions;
     const bg::core::SampleRecord* best = nullptr;
     for (const auto& s : samples) {
@@ -302,9 +308,10 @@ int cmd_train(Aig g, std::vector<std::string> args) {
     std::printf("sampling %zu guided decision vectors%s...\n", n,
                 wants_luts ? " (with LUT labels)" : "");
     bg::Stopwatch sw;
+    bg::ThreadPool pool;
     const auto records = bg::core::generate_guided_samples(
-        g, n, seed, {}, nullptr, wants_luts ? &lut : nullptr);
-    const auto ds = bg::core::build_dataset(g, records);
+        g, n, seed, {}, nullptr, wants_luts ? &lut : nullptr, &pool);
+    const auto ds = bg::core::build_dataset(g, records, {}, {}, &pool);
     std::printf("dataset: %zu samples, best reduction %d (%.1fs)\n",
                 ds.size(), ds.best_reduction(), sw.seconds());
 
@@ -382,8 +389,9 @@ FlowArgs parse_flow_args(std::vector<std::string>& args) {
         workers_arg
             ? static_cast<std::size_t>(std::atoll(workers_arg->c_str()))
             : 0;
-    // Intra-design parallelism: speculative candidate checks inside each
-    // committed orchestration (bit-identical to sequential).
+    // Intra-design parallelism: >= 2 speculates the candidate checks
+    // inside each orchestration on the --workers pool (bit-identical to
+    // sequential).
     out.cfg.flow.intra_workers =
         intra_workers_arg
             ? static_cast<std::size_t>(std::atoll(intra_workers_arg->c_str()))

@@ -13,9 +13,10 @@
 /// thread-local pointer load plus a predictable branch — free when no
 /// recorder is active, which is every non-speculative call.
 ///
-/// A footprint caps its var list (default 64k entries); on overflow it
+/// A footprint caps its var list at kFootprintCap entries; on overflow it
 /// degrades to "reads everything", which the orchestrator treats as
-/// always-invalid (the candidate is simply re-checked at commit time).
+/// always-invalid (the candidate is simply re-checked at commit time) and
+/// the feature cache as always-dirty.
 ///
 /// Reads and journal writes are classified so a commit only invalidates
 /// speculations that read the *aspect* of a var it changed: a deref walk
@@ -23,6 +24,7 @@
 /// neighbor that merely enumerated cuts through it.  Entries are encoded
 /// `(var << 2) | Read` in both footprints and the Aig mutation journal.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,13 +43,15 @@ constexpr std::uint32_t fp_encode(std::uint32_t v, Read k) {
 constexpr std::uint32_t fp_entry_var(std::uint32_t e) { return e >> 2; }
 constexpr std::uint32_t fp_entry_kind(std::uint32_t e) { return e & 3U; }
 
+/// Entries one footprint records before it overflows.
+inline constexpr std::size_t kFootprintCap = 64 * 1024;
+
 /// The recorded read-set of one speculative check: encoded
 /// `fp_encode(var, kind)` entries.  Entries may repeat; consumers dedupe
 /// (or bloom-hash) as needed.
 struct ReadFootprint {
     std::vector<std::uint32_t> vars;
     bool overflow = false;
-    std::size_t cap = 64 * 1024;
 
     void clear() {
         vars.clear();
@@ -67,7 +71,7 @@ inline void fp_touch(std::uint32_t v, Read k) {
     if (fp == nullptr) [[likely]] {
         return;
     }
-    if (fp->vars.size() >= fp->cap) {
+    if (fp->vars.size() >= kFootprintCap) {
         fp->overflow = true;
         return;
     }

@@ -262,4 +262,26 @@ Aig generate_circuit(const GeneratorParams& params) {
     return s.g.compact();
 }
 
+Aig dense_random_aig(std::size_t pis, std::size_t ands, std::uint64_t seed) {
+    Aig g;
+    g.reserve(1 + pis + ands);
+    bg::Rng rng(seed);
+    std::vector<Lit> pool = g.add_pis(pis);
+    pool.reserve(pis + ands);
+    while (g.num_ands() < ands) {
+        const Lit x = pool[rng.next_u64() % pool.size()];
+        const Lit y = pool[rng.next_u64() % pool.size()];
+        const Lit z = g.and_(lit_not_cond(x, rng.next_u64() % 2 != 0),
+                             lit_not_cond(y, rng.next_u64() % 2 != 0));
+        if (!g.is_and(aig::lit_var(z))) {
+            continue;  // trivial simplification, no new node
+        }
+        pool.push_back(z);
+    }
+    for (std::size_t i = 0; i < 32 && i < pool.size(); ++i) {
+        g.add_po(pool[pool.size() - 1 - i]);
+    }
+    return g;
+}
+
 }  // namespace bg::circuits

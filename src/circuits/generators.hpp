@@ -14,6 +14,7 @@
 ///
 /// Users with the real netlists can load them through bg::io::read_bench.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -40,5 +41,13 @@ struct GeneratorParams {
 
 /// Generate one circuit; deterministic in `params`.
 aig::Aig generate_circuit(const GeneratorParams& params);
+
+/// Dense random AIG for scale tests and benches: `ands` two-input ANDs
+/// over a growing pool of randomly complemented literals with only `pis`
+/// PIs, so the graph is deep and fanout-heavy like real netlists; the 32
+/// newest nodes drive the POs.  Returned uncompacted, so ANDs that reach
+/// no PO are still counted in num_ands(); deterministic in `seed`.
+aig::Aig dense_random_aig(std::size_t pis, std::size_t ands,
+                          std::uint64_t seed);
 
 }  // namespace bg::circuits

@@ -26,12 +26,13 @@ float range_label(double value, double best, double worst) {
 
 Dataset build_dataset(const aig::Aig& design,
                       std::span<const SampleRecord> records,
-                      const opt::OptParams& params, const FeatureConfig& cfg) {
+                      const opt::OptParams& params, const FeatureConfig& cfg,
+                      ThreadPool* pool) {
     Dataset ds;
     ds.num_nodes_ = design.num_slots();
     ds.csr_ = build_csr(design);
 
-    const StaticFeatures st = compute_static_features(design, params);
+    const StaticFeatures st = compute_static_features(design, params, pool);
 
     // Per-metric normalization statistics.  Size keeps the paper's
     // best-reduction scheme; depth and LUTs are range-normalized (see the

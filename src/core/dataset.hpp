@@ -60,7 +60,7 @@ public:
     friend Dataset build_dataset(const aig::Aig& design,
                                  std::span<const SampleRecord> records,
                                  const opt::OptParams& params,
-                                 const FeatureConfig& cfg);
+                                 const FeatureConfig& cfg, ThreadPool* pool);
 
 private:
     std::size_t num_nodes_ = 0;
@@ -70,11 +70,14 @@ private:
     std::array<bool, kNumMetricHeads> labelled_{};
 };
 
-/// Build a dataset for one design from evaluated sample records.
+/// Build a dataset for one design from evaluated sample records.  The
+/// design's static features are computed on `pool` when given, else
+/// inline.
 Dataset build_dataset(const aig::Aig& design,
                       std::span<const SampleRecord> records,
                       const opt::OptParams& params = {},
-                      const FeatureConfig& cfg = {});
+                      const FeatureConfig& cfg = {},
+                      ThreadPool* pool = nullptr);
 
 /// Normalized label for a raw reduction given the dataset's best.
 float normalize_label(int reduction, int best_reduction);

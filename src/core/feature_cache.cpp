@@ -45,7 +45,6 @@ void FeatureCache::recompute_rows(const Aig& g, const opt::OptParams& params,
     const auto run = [&](std::size_t i) {
         const Var v = vars[i];
         thread_local aig::ReadFootprint fp;
-        fp.cap = footprint_cap;
         fp.clear();
         {
             const aig::FootprintScope scope(fp);
@@ -67,11 +66,7 @@ void FeatureCache::recompute_rows(const Aig& g, const opt::OptParams& params,
             bloom_add(b, aig::fp_entry_var(u));
         }
     };
-    if (pool != nullptr) {
-        pool->for_each(vars.size(), run);
-    } else {
-        bg::parallel_for(vars.size(), run);
-    }
+    bg::for_each_index(pool, vars.size(), run);
     last_recomputed_ = vars.size();
 }
 

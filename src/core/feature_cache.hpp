@@ -35,11 +35,6 @@ namespace bg::core {
 
 class FeatureCache {
 public:
-    /// Per-row read-set recording cap; an overflowing row's signature
-    /// saturates, so the row is recomputed after every commit (still
-    /// correct, just not incremental for that row).
-    std::size_t footprint_cap = 64 * 1024;
-
     bool valid() const { return valid_; }
     void invalidate() { valid_ = false; }
 
@@ -49,7 +44,10 @@ public:
     std::size_t last_recomputed() const { return last_recomputed_; }
 
     /// Full rebuild: every row recomputed (with read-set recording) and
-    /// the CSR rebuilt.  The row loop runs on `pool` when given.
+    /// the CSR rebuilt.  The row loop runs on `pool` when given, else
+    /// inline.  A row whose read-set overflows aig::kFootprintCap gets a
+    /// saturated signature, so it is recomputed after every commit (still
+    /// correct, just not incremental for that row).
     void rebuild(const aig::Aig& g, const opt::OptParams& params,
                  ThreadPool* pool = nullptr);
 

@@ -33,11 +33,13 @@ void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
 }
 
 StaticFeatures compute_static_features(const Aig& g,
-                                       const opt::OptParams& params) {
+                                       const opt::OptParams& params,
+                                       ThreadPool* pool) {
     params.validate();
     StaticFeatures rows(g.num_slots());
     // The three checks are read-only, so per-node work parallelizes.
-    bg::parallel_for(g.num_slots(), [&](std::size_t i) {
+    bg::for_each_index(pool, g.num_slots(), [&](std::size_t i) {
+        poll_cancel(params.cancel, "static features");
         compute_static_row(g, static_cast<Var>(i), params, rows[i]);
     });
     return rows;

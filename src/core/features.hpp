@@ -43,9 +43,12 @@ using StaticFeatures = std::vector<std::array<float, static_dim>>;
 using DynamicFeatures = std::vector<std::array<float, dynamic_dim>>;
 
 /// Compute static features; runs the three read-only transformability
-/// checks at every AND node (the dominant cost, cached per design).
+/// checks at every AND node (the dominant cost, cached per design).  The
+/// row loop runs on `pool` when given, else inline; it polls
+/// `params.cancel` once per row.
 StaticFeatures compute_static_features(const aig::Aig& g,
-                                       const opt::OptParams& params = {});
+                                       const opt::OptParams& params = {},
+                                       ThreadPool* pool = nullptr);
 
 /// One row of the above — the per-node unit incremental maintenance
 /// (core/feature_cache.hpp) recomputes for dirty vars.  Thread-safe for

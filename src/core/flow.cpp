@@ -180,34 +180,18 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     res.original_cost = obj.measure(design);  // runs lut_map for `luts`
     res.original_depth = res.original_cost.depth;
 
-    const auto pfor = [&ctx](std::size_t n, auto&& f) {
-        if (ctx.pool != nullptr) {
-            ctx.pool->for_each(n, f);
-        } else {
-            bg::parallel_for(n, f);
-        }
-    };
-
-    // Intra-design parallel orchestration for the exact-evaluation steps:
-    // shares ctx.pool when present (for_each nests safely inside the
-    // outer candidate loop), else spins up a transient pool.  Results are
-    // bit-identical to the sequential pass either way.
-    std::optional<ThreadPool> intra_pool;
+    // Intra-design parallel orchestration for the exact-evaluation steps
+    // speculates on ctx.pool (for_each nests safely inside the outer
+    // candidate loop); without a pool the sequential pass runs.  Results
+    // are bit-identical either way.
     opt::IntraParallel intra;
-    const opt::IntraParallel* intra_ptr = nullptr;
     if (cfg.intra_workers >= 2) {
-        if (ctx.pool != nullptr) {
-            intra.pool = ctx.pool;
-        } else {
-            intra_pool.emplace(cfg.intra_workers);
-            intra.pool = &*intra_pool;
-        }
-        intra_ptr = &intra;
+        intra.pool = ctx.pool;
     }
 
     // Step 1: sample decision vectors (static features cached per design
-    // round by callers that run many flows, e.g. the FlowEngine, or
-    // maintained incrementally by a FeatureCache-owning iterated driver).
+    // round by run_design_flow, or maintained incrementally by its
+    // FeatureCache).
     StaticFeatures st_local;
     const StaticFeatures* st_src = ctx.static_features;
     if (st_src == nullptr && ctx.feature_cache != nullptr &&
@@ -215,7 +199,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         st_src = &ctx.feature_cache->features();
     }
     if (st_src == nullptr) {
-        st_local = compute_static_features(design, cfg.opt);
+        st_local = compute_static_features(design, cfg.opt, ctx.pool);
         st_src = &st_local;
     }
     const StaticFeatures& st = *st_src;
@@ -240,7 +224,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     const std::size_t num_nodes = design.num_slots();
     nn::Matrix stacked(decisions.size() * num_nodes,
                        static_cast<std::size_t>(feature_dim));
-    pfor(decisions.size(), [&](std::size_t i) {
+    bg::for_each_index(ctx.pool, decisions.size(), [&](std::size_t i) {
         const auto applied = predicted_applied(design, decisions[i], st);
         const auto dy = compute_dynamic_features(design, applied);
         assemble_features_into(
@@ -282,13 +266,13 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
 
     std::vector<SampleRecord> evaluated(k);
     std::vector<opt::CostVector> costs(k);
-    pfor(k, [&](std::size_t i) {
+    bg::for_each_index(ctx.pool, k, [&](std::size_t i) {
         Aig optimized;
         const bool keep_graph = obj.needs_graph();
         evaluated[i] =
             evaluate_decisions(design, decisions[res.selected[i]], cfg.opt,
                                obj, keep_graph ? &optimized : nullptr,
-                               intra_ptr);
+                               &intra);
         const auto& rec = evaluated[i];
         costs[i] = keep_graph
                        ? obj.measure(optimized)
@@ -351,7 +335,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         // prove it against the input design.
         Aig best_graph;
         (void)evaluate_decisions(design, decisions[res.selected[best_idx]],
-                                 cfg.opt, obj, &best_graph, intra_ptr);
+                                 cfg.opt, obj, &best_graph, &intra);
         if (ctx.prover != nullptr) {
             res.verification = ctx.prover->check(design, best_graph);
         } else {
@@ -360,85 +344,6 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         }
     }
     return res;
-}
-
-IteratedFlowResult run_iterated_flow(const Aig& design,
-                                     const BoolGebraModel& model,
-                                     const FlowConfig& cfg,
-                                     std::size_t max_rounds,
-                                     ThreadPool* pool) {
-    BG_EXPECTS(max_rounds >= 1, "need at least one round");
-    const opt::Objective& obj = flow_objective(cfg);
-    IteratedFlowResult out;
-    out.original_size = design.num_ands();
-    out.original_depth = design.depth();
-    Aig current = design;
-    FlowConfig round_cfg = cfg;
-    FlowContext ctx;
-    ctx.pool = pool;
-
-    // Commit-path intra parallelism mirrors run_flow's: share the
-    // caller's pool or spin up a transient one.  A null pool makes
-    // orchestrate_parallel fall back to the sequential pass (journaled,
-    // so the feature cache still gets its touched set).
-    std::optional<ThreadPool> intra_pool;
-    opt::IntraParallel intra;
-    if (cfg.intra_workers >= 2) {
-        if (pool != nullptr) {
-            intra.pool = pool;
-        } else {
-            intra_pool.emplace(cfg.intra_workers);
-            intra.pool = &*intra_pool;
-        }
-    }
-    FeatureCache cache;  // incremental mode only
-    for (std::size_t round = 0; round < max_rounds; ++round) {
-        round_cfg.seed = cfg.seed + round;  // fresh samples per round
-        if (cfg.incremental_features) {
-            if (!cache.valid()) {
-                cache.rebuild(current, round_cfg.opt, pool);
-            }
-            ctx.feature_cache = &cache;
-        }
-        const auto flow = run_flow(current, model, round_cfg, ctx);
-        // Stop when the round's objective-best does not strictly improve
-        // on the round's entry cost (under size: best_reduction <= 0,
-        // exactly the pre-objective stop).
-        if (flow.best_decisions.empty() ||
-            !obj.better(flow.best_cost, flow.original_cost)) {
-            break;
-        }
-        // Commit the winning decision vector; orchestrate_parallel is
-        // pinned bit-identical to orchestrate and additionally reports
-        // the touched set the feature cache consumes.
-        auto decisions = flow.best_decisions;
-        const auto commit = opt::orchestrate_parallel(
-            current, decisions, round_cfg.opt, obj, intra);
-        if (!cfg.incremental_features) {
-            current = current.compact();
-        } else {
-            cache.update(current, round_cfg.opt, commit.touched, pool);
-            // Defer compaction until tombstones dominate; compacting
-            // remaps var ids, so the cache restarts from a full rebuild.
-            const std::size_t dead = current.num_slots() - 1 -
-                                     current.num_pis() - current.num_ands();
-            if (2 * dead >= current.num_slots()) {
-                current = current.compact();
-                cache.invalidate();
-            }
-        }
-        out.per_round_reduction.push_back(flow.best_reduction);
-    }
-    out.final_size = current.num_ands();
-    out.final_depth = current.depth();
-    out.final_ratio = static_cast<double>(out.final_size) /
-                      static_cast<double>(out.original_size);
-    out.final_depth_ratio =
-        out.original_depth != 0
-            ? static_cast<double>(out.final_depth) /
-                  static_cast<double>(out.original_depth)
-            : 1.0;
-    return out;
 }
 
 }  // namespace bg::core

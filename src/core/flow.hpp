@@ -55,17 +55,19 @@ struct FlowConfig {
     verify::PortfolioOptions verify_opts;
     /// Intra-design parallelism: when >= 2, every committed or evaluated
     /// orchestration runs the partition/speculate/ordered-commit path
-    /// (opt::orchestrate_parallel) — bit-identical to the sequential pass
-    /// at any worker count.  Runs on FlowContext::pool when one is set
-    /// (nesting-safe with the outer sample loops), else on a transient
-    /// pool of this many workers.  0/1 = sequential.
+    /// (opt::orchestrate_parallel) on the caller's pool — FlowContext::pool
+    /// or run_design_flow's pool, nesting-safe with the outer sample loops
+    /// — bit-identical to the sequential pass at any worker count.  The
+    /// pool's size sets the speculation width; without a pool, and at
+    /// 0/1, the sequential pass runs.
     std::size_t intra_workers = 0;
-    /// Iterated flows only: maintain static features / CSR incrementally
-    /// across rounds (FeatureCache) instead of rebuilding per round.
-    /// Feature rows are bit-identical to a full rebuild; compaction is
-    /// deferred until half the slots are tombstones, so round-by-round
-    /// var ids (and therefore sampling) differ from the compact-every-
-    /// round default — results stay deterministic either way.
+    /// Multi-round flows (run_design_flow with rounds > 1) only: maintain
+    /// static features / CSR incrementally across rounds (FeatureCache)
+    /// instead of rebuilding per round.  Feature rows are bit-identical
+    /// to a full rebuild; compaction is deferred until half the slots are
+    /// tombstones, so round-by-round var ids (and therefore sampling)
+    /// differ from the compact-every-round default — results stay
+    /// deterministic either way.
     bool incremental_features = false;
 };
 
@@ -94,8 +96,9 @@ RankingPlan plan_ranking(const BoolGebraModel& model,
                          std::optional<MetricHead> override_head = {});
 
 /// Extension beyond the paper's single-shot flow: run the flow, commit
-/// the best decision vector, and repeat on the optimized graph.  Ratios
-/// accumulate against the *original* size.
+/// the best decision vector, and repeat on the optimized graph
+/// (run_design_flow with rounds > 1).  Ratios accumulate against the
+/// *original* size.
 struct IteratedFlowResult {
     std::size_t original_size = 0;
     std::size_t final_size = 0;
@@ -169,14 +172,17 @@ std::vector<opt::DecisionVector> generate_decisions(
     const StaticFeatures& st);
 
 /// Shared per-design state a caller may supply to avoid recomputation, and
-/// an optional persistent worker pool for the inner sample loops.  All
-/// members are optional; run_flow computes whatever is missing.  Cached
-/// values must belong to the *same* graph and OptParams as the call (the
+/// an optional persistent worker pool for the inner loops.  All members
+/// are optional; run_flow computes whatever is missing.  Cached values
+/// must belong to the *same* graph and OptParams as the call (the
 /// FlowEngine guarantees this by caching per design round).
 struct FlowContext {
     const StaticFeatures* static_features = nullptr;
     const GraphCsr* csr = nullptr;
-    ThreadPool* pool = nullptr;  ///< inner loops run here when set
+    /// Every inner loop (static features, feature assembly, inference,
+    /// top-k evaluation, verification) runs here; null runs them inline
+    /// on the calling thread.
+    ThreadPool* pool = nullptr;
     /// Shared portfolio prover for FlowConfig::verify (the FlowService
     /// passes its long-lived instance so the verdict cache spans jobs).
     /// Null + verify => run_flow builds a transient one from
@@ -184,8 +190,8 @@ struct FlowContext {
     verify::PortfolioCec* prover = nullptr;
     /// Incremental per-design feature state (dirty-region tracking).
     /// When set and valid, run_flow reads static features / CSR from it
-    /// (static_features / csr, when also set, win); iterated drivers own
-    /// the cache and update() it with each commit's touched set.
+    /// (static_features / csr, when also set, win); run_design_flow owns
+    /// the cache and update()s it with each commit's touched set.
     FeatureCache* feature_cache = nullptr;
 };
 
@@ -197,15 +203,5 @@ FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
                     const FlowConfig& cfg = {});
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
                     const FlowConfig& cfg, const FlowContext& ctx);
-
-/// Run up to `max_rounds` flows, committing each round's best candidate;
-/// stops early when a round finds no reduction.  The optional pool is used
-/// for every round's inner loops (cached features are per-round state the
-/// iteration manages itself).
-IteratedFlowResult run_iterated_flow(const aig::Aig& design,
-                                     const BoolGebraModel& model,
-                                     const FlowConfig& cfg = {},
-                                     std::size_t max_rounds = 3,
-                                     ThreadPool* pool = nullptr);
 
 }  // namespace bg::core

@@ -43,18 +43,13 @@ DesignFlowResult run_design_flow(const DesignJob& job,
         round_cfg.opt.cancel = cancel;
     }
 
-    // Commit-path intra parallelism: share the engine pool, else spin up
-    // a transient one (orchestrate_parallel stays bit-identical to the
-    // sequential pass either way).
-    std::optional<ThreadPool> intra_pool;
+    // Commit-path intra parallelism speculates on the caller's pool; a
+    // null pool runs the sequential pass (orchestrate_parallel stays
+    // bit-identical to it either way, and journals `touched` for the
+    // feature cache).
     opt::IntraParallel intra;
     if (flow_cfg.intra_workers >= 2) {
-        if (pool != nullptr) {
-            intra.pool = pool;
-        } else {
-            intra_pool.emplace(flow_cfg.intra_workers);
-            intra.pool = &*intra_pool;
-        }
+        intra.pool = pool;
     }
     FeatureCache cache;  // incremental mode only
     bool round1_productive = false;
@@ -73,7 +68,7 @@ DesignFlowResult run_design_flow(const DesignJob& job,
             }
             ctx.feature_cache = &cache;
         } else {
-            st = compute_static_features(current, round_cfg.opt);
+            st = compute_static_features(current, round_cfg.opt, pool);
             csr = build_csr(current);
             ctx.static_features = &st;
             ctx.csr = &csr;
@@ -138,10 +133,10 @@ DesignFlowResult run_design_flow(const DesignJob& job,
             // were deliberately not retained).
             if (round1_productive) {
                 Aig best_graph;
-                (void)evaluate_decisions(
-                    job.design, res.flow.best_decisions, round_cfg.opt, obj,
-                    &best_graph,
-                    flow_cfg.intra_workers >= 2 ? &intra : nullptr);
+                (void)evaluate_decisions(job.design,
+                                         res.flow.best_decisions,
+                                         round_cfg.opt, obj, &best_graph,
+                                         &intra);
                 res.final_graph =
                     std::make_shared<const Aig>(std::move(best_graph));
             } else {
@@ -286,14 +281,10 @@ std::vector<DesignJob> jobs_from_registry(std::span<const std::string> names,
     return jobs;
 }
 
-bool glob_match(const std::string& pattern, const std::string& text) {
-    return bg::glob_match(pattern, text);
-}
-
 std::vector<std::string> expand_registry_pattern(const std::string& pattern) {
     std::vector<std::string> out;
     for (const auto& info : circuits::benchmark_registry()) {
-        if (glob_match(pattern, info.name)) {
+        if (bg::glob_match(pattern, info.name)) {
             out.push_back(info.name);
         }
     }

@@ -18,9 +18,10 @@
 ///
 /// The model is shared read-only across every concurrent job — inference
 /// runs the const eval path (forward_eval), so no per-job model copy is
-/// made.  Output is bit-identical to running the sequential run_flow /
-/// run_iterated_flow per design with the same FlowConfig, independent of
-/// the worker count (everything is written to per-index slots).
+/// made.  Output is bit-identical to running run_design_flow per design
+/// without a pool (every loop inline on the calling thread) with the
+/// same FlowConfig, independent of the worker count (everything is
+/// written to per-index slots).
 
 #include <cstddef>
 #include <functional>
@@ -75,8 +76,9 @@ struct DesignFlowResult {
     /// Round-1 flow result: the BG-Mean / BG-Best source (Table I columns).
     FlowResult flow;
     /// Round trace.  For rounds == 1 no commit happens and final_* reflect
-    /// the best evaluated candidate; for rounds > 1 this matches
-    /// run_iterated_flow exactly.
+    /// the best evaluated candidate; for rounds > 1 every productive
+    /// round's best candidate is committed and final_* describe the
+    /// committed graph.
     IteratedFlowResult iterated;
     /// Decision vectors actually scored across all executed rounds —
     /// accumulated from each round's FlowResult::samples_evaluated, not
@@ -124,11 +126,13 @@ struct BatchFlowResult {
     double samples_per_second = 0.0;
 };
 
-/// The per-design unit of work shared by FlowEngine and FlowService: run
-/// `rounds` flow rounds (committing each productive best when rounds > 1)
-/// with per-round StaticFeatures/CSR caching, on `pool` when given.  The
-/// model is read-only; results are bit-identical to the sequential
-/// run_flow / run_iterated_flow with the same config.
+/// The per-design unit of work shared by FlowEngine and FlowService, and
+/// the one round driver: run `rounds` flow rounds (committing each
+/// productive best when rounds > 1, stopping at the first round that
+/// does not improve) with per-round StaticFeatures/CSR caching.  Every
+/// loop runs on `pool` when given and inline on the calling thread when
+/// it is null.  The model is read-only; results are bit-identical at any
+/// pool size, and for rounds == 1 equal run_flow with the same config.
 /// `prover` is the shared portfolio instance used when flow.verify is on
 /// (null + verify => a transient prover is built from flow.verify_opts).
 /// For rounds > 1 the committed result is proven end-to-end once — final
@@ -173,10 +177,6 @@ private:
 /// float-equality special case.  Unknown names throw std::out_of_range.
 std::vector<DesignJob> jobs_from_registry(std::span<const std::string> names,
                                           double scale = 1.0);
-
-/// Shell-style match: '*' = any run (including empty), '?' = any single
-/// character, everything else literal.  The registry pattern language.
-bool glob_match(const std::string& pattern, const std::string& text);
 
 /// Expand a shell-style pattern ('*' and '?') against the registry names;
 /// a literal name matches itself.  Returns names in registry order.

@@ -40,9 +40,9 @@
 ///    globally and per tenant, submit-to-completion latency percentiles
 ///    over a sliding window, and samples/s throughput.
 ///
-/// Results are bit-identical to a sequential run_flow / run_iterated_flow
-/// with the snapshot the job was bound to, independent of worker count,
-/// queue depth, tenant mix, and any concurrent hot-swaps.
+/// Results are bit-identical to run_design_flow without a pool (every
+/// loop inline) with the snapshot the job was bound to, independent of
+/// worker count, queue depth, tenant mix, and any concurrent hot-swaps.
 
 #include <condition_variable>
 #include <cstdint>

@@ -77,11 +77,9 @@ SampleRecord evaluate_decisions(const Aig& design, DecisionVector decisions,
                                 Aig* optimized_out,
                                 const opt::IntraParallel* intra) {
     Aig copy = design;
-    const auto res =
-        intra != nullptr
-            ? opt::orchestrate_parallel(copy, decisions, params, objective,
-                                        *intra)
-            : opt::orchestrate(copy, decisions, params, objective);
+    const auto res = opt::orchestrate_parallel(
+        copy, decisions, params, objective,
+        intra != nullptr ? *intra : opt::IntraParallel{});
     SampleRecord rec;
     rec.decisions = std::move(decisions);
     rec.applied = res.applied;
@@ -97,16 +95,17 @@ SampleRecord evaluate_decisions(const Aig& design, DecisionVector decisions,
 
 namespace {
 
-/// Evaluate a batch of decision vectors in parallel; the result order
-/// matches the input order, so the outcome is deterministic.  When
-/// `lut_labels` is set, each record's optimized graph is technology-mapped
-/// and the LUT count recorded as the sample's LUT-head label.
+/// Evaluate a batch of decision vectors on `pool` (inline when null); the
+/// result order matches the input order, so the outcome is deterministic.
+/// When `lut_labels` is set, each record's optimized graph is
+/// technology-mapped and the LUT count recorded as the sample's LUT-head
+/// label.
 std::vector<SampleRecord> evaluate_batch(
     const Aig& design, std::vector<DecisionVector> batch,
-    const opt::OptParams& params,
-    const opt::LutMapParams* lut_labels = nullptr) {
+    const opt::OptParams& params, const opt::LutMapParams* lut_labels,
+    ThreadPool* pool) {
     std::vector<SampleRecord> out(batch.size());
-    bg::parallel_for(batch.size(), [&](std::size_t i) {
+    bg::for_each_index(pool, batch.size(), [&](std::size_t i) {
         if (lut_labels == nullptr) {
             out[i] = evaluate_decisions(design, std::move(batch[i]), params);
             return;
@@ -124,24 +123,26 @@ std::vector<SampleRecord> evaluate_batch(
 
 std::vector<SampleRecord> generate_random_samples(
     const Aig& design, std::size_t n, std::uint64_t seed,
-    const opt::OptParams& params, const opt::LutMapParams* lut_labels) {
+    const opt::OptParams& params, const opt::LutMapParams* lut_labels,
+    ThreadPool* pool) {
     bg::Rng rng(seed);
     std::vector<DecisionVector> batch;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(random_decisions(design, rng));
     }
-    return evaluate_batch(design, std::move(batch), params, lut_labels);
+    return evaluate_batch(design, std::move(batch), params, lut_labels,
+                          pool);
 }
 
 std::vector<SampleRecord> generate_guided_samples(
     const Aig& design, std::size_t n, std::uint64_t seed,
     const opt::OptParams& params, const StaticFeatures* precomputed_static,
-    const opt::LutMapParams* lut_labels) {
+    const opt::LutMapParams* lut_labels, ThreadPool* pool) {
     bg::Rng rng(seed);
     StaticFeatures local;
     if (precomputed_static == nullptr) {
-        local = compute_static_features(design, params);
+        local = compute_static_features(design, params, pool);
         precomputed_static = &local;
     }
     const DecisionVector base =
@@ -161,7 +162,8 @@ std::vector<SampleRecord> generate_guided_samples(
         const double frac = fractions[(i - 1) % std::size(fractions)];
         batch.push_back(mutate_decisions(design, base, frac, rng));
     }
-    return evaluate_batch(design, std::move(batch), params, lut_labels);
+    return evaluate_batch(design, std::move(batch), params, lut_labels,
+                          pool);
 }
 
 }  // namespace bg::core

@@ -56,9 +56,9 @@ opt::DecisionVector mutate_decisions(const aig::Aig& g,
 /// orchestration commits under `objective` (default size, the paper's
 /// behavior); `optimized_out`, when given, receives the optimized copy so
 /// graph-needing objectives can measure it before it is discarded.
-/// `intra`, when given, routes the pass through the partition/speculate
-/// parallel orchestrator on its pool — bit-identical results, so callers
-/// may mix the two paths freely.
+/// `intra`, when given with a pool, routes the pass through the
+/// partition/speculate parallel orchestrator on that pool — bit-identical
+/// results, so callers may mix the two paths freely.
 SampleRecord evaluate_decisions(const aig::Aig& design,
                                 opt::DecisionVector decisions,
                                 const opt::OptParams& params = {},
@@ -70,18 +70,23 @@ SampleRecord evaluate_decisions(const aig::Aig& design,
 /// N purely random samples (Fig 2 "Random").  When `lut_labels` is
 /// non-null every record additionally carries the K-LUT mapping size of
 /// its optimized graph (SampleRecord::lut_count — the LUT head's label).
+/// The samples are evaluated on `pool` when given, else inline; the
+/// records are identical either way.
 std::vector<SampleRecord> generate_random_samples(
     const aig::Aig& design, std::size_t n, std::uint64_t seed,
     const opt::OptParams& params = {},
-    const opt::LutMapParams* lut_labels = nullptr);
+    const opt::LutMapParams* lut_labels = nullptr,
+    ThreadPool* pool = nullptr);
 
 /// N priority-guided samples (Fig 2 "Guided"): the base assignment plus
 /// partial random mutations with fractions cycling through 10%..90%.
-/// `lut_labels` works as in generate_random_samples.
+/// `lut_labels` and `pool` work as in generate_random_samples; the pool
+/// also runs the static features when none are precomputed.
 std::vector<SampleRecord> generate_guided_samples(
     const aig::Aig& design, std::size_t n, std::uint64_t seed,
     const opt::OptParams& params = {},
     const StaticFeatures* precomputed_static = nullptr,
-    const opt::LutMapParams* lut_labels = nullptr);
+    const opt::LutMapParams* lut_labels = nullptr,
+    ThreadPool* pool = nullptr);
 
 }  // namespace bg::core

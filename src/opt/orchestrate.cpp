@@ -33,6 +33,19 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
     res.original_depth = g.depth();  // freshens levels as a side effect
     res.applied.assign(g.num_slots(), OpKind::None);
 
+    // Journal the pass: `touched` is what incremental feature maintenance
+    // consumes, and audit builds check the journal covers every write.
+    std::vector<Var> journal;
+    g.set_change_log(&journal);
+    struct LogGuard {
+        Aig& g;
+        ~LogGuard() { g.set_change_log(nullptr); }
+    } log_guard{g};
+#ifdef BOOLGEBRA_AUDIT
+    analysis::WriteAudit write_audit;
+    write_audit.capture(g);
+#endif
+
     // Depth-aware objectives read each check's local depth delta, which is
     // only meaningful against fresh levels; refresh lazily after applies.
     const bool track_levels = objective.needs_depth();
@@ -68,6 +81,16 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
         res.applied[v] = op;
         ++res.num_applied;
     }
+    g.set_change_log(nullptr);
+#ifdef BOOLGEBRA_AUDIT
+    write_audit.verify(g, journal, "orchestrate pass");
+#endif
+    for (Var& e : journal) {
+        e = aig::fp_entry_var(e);  // touched is var-granular
+    }
+    std::sort(journal.begin(), journal.end());
+    journal.erase(std::unique(journal.begin(), journal.end()), journal.end());
+    res.touched = std::move(journal);
     res.final_size = g.num_ands();
     res.final_depth = g.depth();
     return res;
@@ -80,37 +103,15 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                                          const IntraParallel& intra) {
     // Depth-aware objectives refresh levels mid-pass, which speculative
     // checks cannot replay; they (and poolless calls) take the sequential
-    // path, which is the definition of correct.  The fallback still
-    // journals so `touched` is populated either way.
+    // path, which is the definition of correct.  It journals too, so
+    // `touched` is populated either way.
     if (intra.pool == nullptr || intra.pool->size() < 2 ||
         objective.needs_depth()) {
-        std::vector<Var> journal;
-        g.set_change_log(&journal);
-        struct LogGuard {
-            Aig& g;
-            ~LogGuard() { g.set_change_log(nullptr); }
-        } log_guard{g};
-#ifdef BOOLGEBRA_AUDIT
-        analysis::WriteAudit write_audit;
-        write_audit.capture(g);
-#endif
-        OrchestrationResult res = orchestrate(g, decisions, params, objective);
-#ifdef BOOLGEBRA_AUDIT
-        write_audit.verify(g, journal, "orchestrate sequential-fallback pass");
-#endif
-        for (Var& e : journal) {
-            e = aig::fp_entry_var(e);  // touched is var-granular
-        }
-        std::sort(journal.begin(), journal.end());
-        journal.erase(std::unique(journal.begin(), journal.end()),
-                      journal.end());
-        res.touched = std::move(journal);
-        return res;
+        return orchestrate(g, decisions, params, objective);
     }
     BG_EXPECTS(decisions.size() >= g.num_slots(),
                "decision vector must cover every var id");
-    BG_EXPECTS(intra.spec_batch >= 1 && intra.region_roots >= 1,
-               "speculation batch and region size must be positive");
+    BG_EXPECTS(intra.region_roots >= 1, "region size must be positive");
     params.validate();
     OrchestrationResult res;
     res.original_size = g.num_ands();
@@ -159,11 +160,11 @@ OrchestrationResult orchestrate_parallel(Aig& g,
 
     // Dense decision vectors make every node a root, so MFFCs nest and
     // overlap merges routinely collapse most of the design into a few
-    // giant regions.  Waves therefore cap at spec_batch *candidates* and
+    // giant regions.  Waves therefore cap at a number of *candidates* and
     // split oversized regions across waves — speculation is read-only and
     // the commit walk stays in candidate order, so slicing a region is
-    // semantics-free; what it buys is a fresh epoch every spec_batch
-    // commits, which is what keeps the conflict rate low.
+    // semantics-free; what it buys is a fresh epoch every wave, which is
+    // what keeps the conflict rate low.
     // A speculation is consumable iff no aspect it read changed after its
     // epoch (overflowed footprints read "everything" and are never
     // consumable).
@@ -180,13 +181,12 @@ OrchestrationResult orchestrate_parallel(Aig& g,
         return true;
     };
 
-    // Waves cap at 16 candidates per worker regardless of spec_batch:
-    // every commit inside a wave can stale the wave's tail, so oversized
-    // waves just re-speculate the same candidates over and over (measured
-    // ~2.7x redundant check work at 2048 vs ~1.8x at 16 per worker on a
-    // 4-worker pool, with no utilization win).
-    const std::size_t wave_cap =
-        std::min(intra.spec_batch, 16 * intra.pool->size());
+    // Waves cap at 16 candidates per worker: every commit inside a wave
+    // can stale the wave's tail, so oversized waves just re-speculate the
+    // same candidates over and over (measured ~2.7x redundant check work
+    // at 2048 vs ~1.8x at 16 per worker on a 4-worker pool, with no
+    // utilization win).
+    const std::size_t wave_cap = 16 * intra.pool->size();
 #ifdef BOOLGEBRA_AUDIT
     analysis::WriteAudit write_audit;
 #endif
@@ -230,7 +230,6 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                     continue;
                 }
                 Spec& s = specs[c];
-                s.fp.cap = intra.footprint_cap;
                 s.fp.clear();
                 s.epoch = epoch;
 #ifdef BOOLGEBRA_AUDIT
@@ -280,7 +279,6 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                     intra.pool->for_each(stale.size(), [&](std::size_t k) {
                         const std::size_t j = stale[k];
                         Spec& sj = specs[j];
-                        sj.fp.cap = intra.footprint_cap;
                         sj.fp.clear();
                         sj.epoch = epoch_now;
 #ifdef BOOLGEBRA_AUDIT
@@ -301,7 +299,6 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                 } else {
                     Spec& sc = specs[c];
                     sc.fp.clear();
-                    sc.fp.overflow = false;
                     sc.epoch = commits_done;
                     sc.check = check_op(g, v, decisions[v], params);
                 }

@@ -44,8 +44,7 @@ struct OrchestrationResult {
     std::size_t num_conflicts = 0;   ///< speculations invalidated, re-checked
     /// Vars structurally touched by the committed transforms (sorted,
     /// deduplicated) — the dirty set incremental feature maintenance
-    /// consumes.  Populated by orchestrate_parallel (including its
-    /// sequential fallback); plain orchestrate leaves it empty.
+    /// consumes.  Both orchestrate and orchestrate_parallel report it.
     std::vector<aig::Var> touched;
 
     int reduction() const {
@@ -60,7 +59,10 @@ struct OrchestrationResult {
 
 /// Run Algorithm 1 in place.  `decisions` must cover every var id present
 /// at entry (g.num_slots()); vars created during the pass are not visited
-/// (they are "unseen" nodes in the paper's terminology).  The objective
+/// (they are "unseen" nodes in the paper's terminology).  The pass
+/// journals its writes (Aig::set_change_log) to fill
+/// OrchestrationResult::touched; audit builds check that journal against
+/// the graph's state diff.  The objective
 /// gates which applicable candidates are committed: the default
 /// SizeObjective applies every one (pre-objective behavior, bit-identical
 /// results); depth-aware objectives keep the level annotation fresh so
@@ -71,21 +73,17 @@ OrchestrationResult orchestrate(aig::Aig& g,
                                 const OptParams& params = {},
                                 const Objective& objective = size_objective());
 
-/// Knobs of the intra-design parallel orchestrator.
+/// Knobs of the intra-design parallel orchestrator.  Waves speculate at
+/// most 16 candidates per pool worker (commits stale their wave's tail,
+/// so larger waves only buy redundant re-speculation), and a candidate
+/// whose read-footprint overflows aig::kFootprintCap is re-checked at
+/// commit time.
 struct IntraParallel {
     /// Pool the speculation waves run on; nullptr (or a pool with fewer
     /// than two workers) falls back to the sequential path.
     ThreadPool* pool = nullptr;
-    /// Upper bound on candidates speculated per wave — bounds the
-    /// footprint memory held at once.  The orchestrator additionally caps
-    /// waves at 16 candidates per pool worker: commits stale their wave's
-    /// tail, so oversized waves only buy redundant re-speculation.
-    std::size_t spec_batch = 2048;
     /// Preferred roots per MFFC-disjoint region (the parallel work unit).
     std::size_t region_roots = 32;
-    /// Per-candidate read-footprint cap; overflowing candidates are
-    /// simply re-checked at commit time.
-    std::size_t footprint_cap = 64 * 1024;
 };
 
 /// Algorithm 1 with partition/speculate/ordered-commit parallelism:
@@ -94,9 +92,10 @@ struct IntraParallel {
 /// topological order.  A commit journals every var it structurally
 /// touches; a speculated check whose recorded read-set intersects a
 /// later commit is invalidated and transparently re-checked inline, so
-/// the committed result — graph, counters, applied vector — is
-/// bit-identical to `orchestrate` at any worker count.  Depth-aware
-/// objectives (which refresh levels mid-pass) take the sequential path.
+/// the committed result — graph, counters, applied vector, touched set —
+/// is bit-identical to `orchestrate` at any worker count.  Depth-aware
+/// objectives (which refresh levels mid-pass) and poolless calls run
+/// plain `orchestrate`.
 OrchestrationResult orchestrate_parallel(
     aig::Aig& g, std::span<const OpKind> decisions,
     const OptParams& params = {},

@@ -50,11 +50,12 @@ struct OptParams {
     bool allow_zero_gain = false;
 
     /// Cooperative cancel point, polled by the orchestrate node walks
-    /// (sequential loop and parallel commit walk) and by run_flow stage
-    /// boundaries.  Null (the default) compiles to a pointer test and
-    /// leaves results bit-identical to the cancel-free code path; a
-    /// stopped token raises bg::CancelledError.  Not an optimization
-    /// knob: validate() ignores it.
+    /// (sequential loop and parallel commit walk), once per row by
+    /// compute_static_features, and by run_flow stage boundaries.  Null
+    /// (the default) compiles to a pointer test and leaves results
+    /// bit-identical to the cancel-free code path; a stopped token raises
+    /// bg::CancelledError.  Not an optimization knob: validate() ignores
+    /// it.
     const bg::CancelToken* cancel = nullptr;
 
     /// Largest reconvergence cut the refactor/resub windows may grow to;

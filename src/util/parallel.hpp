@@ -1,13 +1,14 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Deterministic fork-join parallelism.
+/// Deterministic fork-join parallelism on one persistent ThreadPool.
 ///
-///  * parallel_for runs f(i) for i in [0, n) across a bounded set of
-///    freshly-spawned worker threads — convenient for one-shot loops.
-///  * ThreadPool keeps a persistent set of workers alive across many
-///    submissions, avoiding per-call thread spawn/join cost on hot paths
-///    (the FlowEngine runs whole design batches on one pool).
+/// The caller's pool is the only source of compute threads: every
+/// parallel loop takes a `ThreadPool*` and a null pool runs the loop
+/// inline on the calling thread (for_each_index below), so a pool of N
+/// workers bounds the threads a computation uses.  The FlowEngine and
+/// FlowService run whole design batches on one pool and nest the
+/// per-sample and per-node loops inside it.
 ///
 /// Results must be written to pre-sized per-index slots so the output is
 /// independent of scheduling; all BoolGebra uses follow that pattern
@@ -28,45 +29,6 @@ namespace bg {
 
 /// Number of workers to use by default (hardware concurrency, at least 1).
 std::size_t default_worker_count();
-
-/// Run f(i) for every i in [0, n), using up to `workers` threads
-/// (0 = default_worker_count()).  f must be safe to call concurrently for
-/// distinct i.  Exceptions thrown by f terminate the process (workers are
-/// plain threads); keep f noexcept in spirit.
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& f, std::size_t workers = 0) {
-    if (n == 0) {
-        return;
-    }
-    if (workers == 0) {
-        workers = default_worker_count();
-    }
-    workers = std::min(workers, n);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            f(i);
-        }
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-            while (true) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n) {
-                    return;
-                }
-                f(i);
-            }
-        });
-    }
-    for (auto& t : pool) {
-        t.join();
-    }
-}
 
 /// A persistent worker pool.  Threads are spawned once and reused across
 /// submissions; destruction drains the queue and joins the workers.
@@ -172,5 +134,19 @@ private:
     std::condition_variable cv_;
     bool stopping_ = false;
 };
+
+/// f(i) for every i in [0, n): on `pool` (ThreadPool::for_each) when one
+/// is given, else inline on the calling thread in index order.  Either
+/// way an exception thrown by f reaches the caller.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t n, Fn&& f) {
+    if (pool != nullptr) {
+        pool->for_each(n, f);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        f(i);
+    }
+}
 
 }  // namespace bg

@@ -4,44 +4,18 @@
 
 #include "aig/aig.hpp"
 #include "circuits/design_source.hpp"
+#include "circuits/generators.hpp"
 #include "core/features.hpp"
 #include "io/aiger.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using namespace bg::aig;  // NOLINT: test brevity
 
-/// Deterministic dense random AIG with `ands` AND nodes — the million-node
-/// construction used by bench_aig_scale, kept small-PI so the graph is
-/// deep and fanout-heavy like real netlists.
-Aig build_large(std::size_t pis, std::size_t ands, std::uint64_t seed) {
-    Aig g;
-    g.reserve(1 + pis + ands);
-    bg::Rng rng(seed);
-    std::vector<Lit> pool = g.add_pis(pis);
-    pool.reserve(pis + ands);
-    while (g.num_ands() < ands) {
-        const Lit x = pool[rng.next_u64() % pool.size()];
-        const Lit y = pool[rng.next_u64() % pool.size()];
-        const Lit z = g.and_(lit_not_cond(x, rng.next_u64() % 2 != 0),
-                             lit_not_cond(y, rng.next_u64() % 2 != 0));
-        if (!g.is_and(lit_var(z))) {
-            continue;  // trivial simplification, no new node
-        }
-        pool.push_back(z);
-    }
-    // Cap the PO count: reference the most recent nodes.
-    for (std::size_t i = 0; i < 32 && i < pool.size(); ++i) {
-        g.add_po(pool[pool.size() - 1 - i]);
-    }
-    return g;
-}
-
 TEST(AigScale, MillionNodeGraphStaysWithinPackedBudget) {
     constexpr std::size_t k_ands = 1'000'000;
-    const Aig g = build_large(64, k_ands, 42);
+    const Aig g = bg::circuits::dense_random_aig(64, k_ands, 42);
     ASSERT_GE(g.num_ands(), k_ands);
 
     // The acceptance bar: core node storage at most 16 bytes per node.
@@ -59,7 +33,7 @@ TEST(AigScale, MillionNodeGraphStaysWithinPackedBudget) {
 
 TEST(AigScale, MillionNodeAigerRoundTripThroughDesignSource) {
     constexpr std::size_t k_ands = 1'000'000;
-    const Aig g = build_large(64, k_ands, 7);
+    const Aig g = bg::circuits::dense_random_aig(64, k_ands, 7);
 
     const auto dir = fs::temp_directory_path() / "bg_aig_scale_test";
     fs::create_directories(dir);

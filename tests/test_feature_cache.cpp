@@ -12,7 +12,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/feature_cache.hpp"
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "opt/orchestrate.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
@@ -145,8 +145,9 @@ TEST(FeatureCache, IncrementalIteratedFlowIsDeterministic) {
     fc.incremental_features = true;
 
     const Aig design = bg::circuits::make_benchmark_scaled("b09", 0.4);
-    const auto a = run_iterated_flow(design, model, fc, 2);
-    const auto b = run_iterated_flow(design, model, fc, 2);
+    const DesignJob job{"b09", design};
+    const auto a = run_design_flow(job, model, fc, 2, nullptr).iterated;
+    const auto b = run_design_flow(job, model, fc, 2, nullptr).iterated;
     EXPECT_EQ(a.original_size, b.original_size);
     EXPECT_EQ(a.final_size, b.final_size);
     EXPECT_EQ(a.per_round_reduction, b.per_round_reduction);

@@ -3,6 +3,7 @@
 #include "circuits/registry.hpp"
 #include "core/flow_engine.hpp"
 #include "io/aiger.hpp"
+#include "util/glob.hpp"
 
 namespace {
 
@@ -89,7 +90,7 @@ TEST(FlowEngine, RepeatedRunsAreIdentical) {
     }
 }
 
-TEST(FlowEngine, IteratedRoundsMatchRunIteratedFlow) {
+TEST(FlowEngine, IteratedRoundsMatchInlineDesignFlow) {
     const auto jobs = tiny_jobs();
     const BoolGebraModel model{tiny_config()};
     EngineConfig cfg;
@@ -102,7 +103,8 @@ TEST(FlowEngine, IteratedRoundsMatchRunIteratedFlow) {
         SCOPED_TRACE(jobs[i].name);
         BoolGebraModel m(model);
         const auto want =
-            run_iterated_flow(jobs[i].design, m, cfg.flow, cfg.rounds);
+            run_design_flow(jobs[i], m, cfg.flow, cfg.rounds, nullptr)
+                .iterated;
         const auto& got = batch.designs[i].iterated;
         EXPECT_EQ(got.original_size, want.original_size);
         EXPECT_EQ(got.final_size, want.final_size);
@@ -214,46 +216,46 @@ TEST(FlowEngineHelpers, ScaledGeneratorIsIdentityAtScaleOne) {
 
 TEST(FlowEngineHelpers, GlobMatchEdgeCases) {
     // Empty pattern / empty text.
-    EXPECT_TRUE(glob_match("", ""));
-    EXPECT_FALSE(glob_match("", "a"));
-    EXPECT_FALSE(glob_match("a", ""));
-    EXPECT_TRUE(glob_match("*", ""));
-    EXPECT_TRUE(glob_match("**", ""));
-    EXPECT_FALSE(glob_match("?", ""));
+    EXPECT_TRUE(bg::glob_match("", ""));
+    EXPECT_FALSE(bg::glob_match("", "a"));
+    EXPECT_FALSE(bg::glob_match("a", ""));
+    EXPECT_TRUE(bg::glob_match("*", ""));
+    EXPECT_TRUE(bg::glob_match("**", ""));
+    EXPECT_FALSE(bg::glob_match("?", ""));
 
     // Literals and '?'.
-    EXPECT_TRUE(glob_match("b07", "b07"));
-    EXPECT_FALSE(glob_match("b07", "b08"));
-    EXPECT_FALSE(glob_match("b07", "b071"));
-    EXPECT_TRUE(glob_match("b0?", "b07"));
-    EXPECT_FALSE(glob_match("b0?", "b0"));
-    EXPECT_FALSE(glob_match("b0?", "b077"));
-    EXPECT_TRUE(glob_match("???", "b07"));
+    EXPECT_TRUE(bg::glob_match("b07", "b07"));
+    EXPECT_FALSE(bg::glob_match("b07", "b08"));
+    EXPECT_FALSE(bg::glob_match("b07", "b071"));
+    EXPECT_TRUE(bg::glob_match("b0?", "b07"));
+    EXPECT_FALSE(bg::glob_match("b0?", "b0"));
+    EXPECT_FALSE(bg::glob_match("b0?", "b077"));
+    EXPECT_TRUE(bg::glob_match("???", "b07"));
 
     // '*' runs, prefixes, suffixes.
-    EXPECT_TRUE(glob_match("*", "anything"));
-    EXPECT_TRUE(glob_match("b*", "b12"));
-    EXPECT_TRUE(glob_match("*7", "b07"));
-    EXPECT_TRUE(glob_match("b*7", "b07"));
-    EXPECT_TRUE(glob_match("b*7", "b7"));
-    EXPECT_FALSE(glob_match("b*7", "b08"));
-    EXPECT_TRUE(glob_match("c*0", "c2670"));
+    EXPECT_TRUE(bg::glob_match("*", "anything"));
+    EXPECT_TRUE(bg::glob_match("b*", "b12"));
+    EXPECT_TRUE(bg::glob_match("*7", "b07"));
+    EXPECT_TRUE(bg::glob_match("b*7", "b07"));
+    EXPECT_TRUE(bg::glob_match("b*7", "b7"));
+    EXPECT_FALSE(bg::glob_match("b*7", "b08"));
+    EXPECT_TRUE(bg::glob_match("c*0", "c2670"));
 
     // Repeated-star backtracking: the second star must be able to re-seek
     // after the first match attempt fails.
-    EXPECT_TRUE(glob_match("*a*b", "xaxxab"));
-    EXPECT_TRUE(glob_match("a*b*c", "aXbXbc"));
-    EXPECT_FALSE(glob_match("a*b*c", "aXbXb"));
-    EXPECT_TRUE(glob_match("*ab", "ababab"));
-    EXPECT_FALSE(glob_match("*ab*x", "ababab"));
-    EXPECT_TRUE(glob_match("a?*c", "abc"));
-    EXPECT_FALSE(glob_match("a?*c", "ac"));
+    EXPECT_TRUE(bg::glob_match("*a*b", "xaxxab"));
+    EXPECT_TRUE(bg::glob_match("a*b*c", "aXbXbc"));
+    EXPECT_FALSE(bg::glob_match("a*b*c", "aXbXb"));
+    EXPECT_TRUE(bg::glob_match("*ab", "ababab"));
+    EXPECT_FALSE(bg::glob_match("*ab*x", "ababab"));
+    EXPECT_TRUE(bg::glob_match("a?*c", "abc"));
+    EXPECT_FALSE(bg::glob_match("a?*c", "ac"));
 
     // Mixed star/question with trailing stars.
-    EXPECT_TRUE(glob_match("b1*", "b1"));
-    EXPECT_TRUE(glob_match("b1**", "b12"));
-    EXPECT_FALSE(glob_match("b1*2*4", "b1234X"));
-    EXPECT_TRUE(glob_match("b1*2*4", "b1X2X4"));
+    EXPECT_TRUE(bg::glob_match("b1*", "b1"));
+    EXPECT_TRUE(bg::glob_match("b1**", "b12"));
+    EXPECT_FALSE(bg::glob_match("b1*2*4", "b1234X"));
+    EXPECT_TRUE(bg::glob_match("b1*2*4", "b1X2X4"));
 }
 
 TEST(FlowEngineHelpers, RegistryPatternExpansion) {

@@ -1,8 +1,9 @@
 /// \file test_intra_parallel_parity.cpp
-/// Whole-flow pin for the intra-design parallel path: run_flow and
-/// run_iterated_flow with FlowConfig::intra_workers at 1/2/4 must
-/// reproduce the sequential (intra_workers = 0) result field for field on
-/// every registry design — no float tolerance.  This is the user-visible
+/// Whole-flow pin for the intra-design parallel path: run_flow and the
+/// multi-round run_design_flow with FlowConfig::intra_workers at 1/2/4 on
+/// a pool of that size must reproduce the sequential, inline
+/// (intra_workers = 0, no pool) result field for field on every registry
+/// design — no float tolerance.  This is the user-visible
 /// acceptance bar for the partition/speculate/ordered-commit refactor:
 /// parallelism is a pure latency optimization, invisible in the output.
 
@@ -55,9 +56,11 @@ TEST(IntraParallelParity, RunFlowIdenticalAcrossIntraWorkerCounts) {
 
         for (const std::size_t workers : {1UL, 2UL, 4UL}) {
             SCOPED_TRACE(name + " intra_workers=" + std::to_string(workers));
+            bg::ThreadPool pool(workers);
             FlowConfig cfg = parity_flow();
             cfg.intra_workers = workers;
-            expect_bit_identical(run_flow(design, model, cfg), reference);
+            expect_bit_identical(
+                run_flow(design, model, cfg, {.pool = &pool}), reference);
         }
     }
 }
@@ -65,15 +68,18 @@ TEST(IntraParallelParity, RunFlowIdenticalAcrossIntraWorkerCounts) {
 TEST(IntraParallelParity, IteratedFlowIdenticalAcrossIntraWorkerCounts) {
     const BoolGebraModel model{parity_model_config()};
     for (const auto& name : bg::circuits::benchmark_names()) {
-        const auto design = bg::circuits::make_benchmark_scaled(name, 0.3);
+        const DesignJob job{name,
+                            bg::circuits::make_benchmark_scaled(name, 0.3)};
         const IteratedFlowResult reference =
-            run_iterated_flow(design, model, parity_flow(), 2);
+            run_design_flow(job, model, parity_flow(), 2, nullptr).iterated;
 
         for (const std::size_t workers : {1UL, 2UL, 4UL}) {
             SCOPED_TRACE(name + " intra_workers=" + std::to_string(workers));
+            bg::ThreadPool pool(workers);
             FlowConfig cfg = parity_flow();
             cfg.intra_workers = workers;
-            const auto got = run_iterated_flow(design, model, cfg, 2);
+            const auto got =
+                run_design_flow(job, model, cfg, 2, &pool).iterated;
             EXPECT_EQ(got.original_size, reference.original_size);
             EXPECT_EQ(got.final_size, reference.final_size);
             EXPECT_EQ(got.final_depth, reference.final_depth);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/registry.hpp"
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "core/trainer.hpp"
 
 namespace {
@@ -50,8 +50,12 @@ TEST(IteratedFlow, MultipleRoundsDoNotLoseGround) {
     fc.num_samples = 30;
     fc.top_k = 5;
     fc.seed = 7;
-    const auto one = run_iterated_flow(design, model, fc, 1);
-    const auto three = run_iterated_flow(design, model, fc, 3);
+    // One round is the paper's single-shot flow: the best candidate is
+    // evaluated, not committed.  Round 1 of the three-round run commits
+    // that same winner and compaction only shrinks the graph.
+    const DesignJob job{"b10", design};
+    const auto one = run_design_flow(job, model, fc, 1, nullptr).iterated;
+    const auto three = run_design_flow(job, model, fc, 3, nullptr).iterated;
     EXPECT_EQ(one.original_size, design.num_ands());
     EXPECT_LE(three.final_size, one.final_size)
         << "extra rounds must never grow the result";
@@ -66,7 +70,8 @@ TEST(IteratedFlow, StopsWhenNothingLeft) {
     fc.num_samples = 24;
     fc.top_k = 4;
     fc.seed = 11;
-    const auto res = run_iterated_flow(design, model, fc, 10);
+    const auto res =
+        run_design_flow({"b09", design}, model, fc, 10, nullptr).iterated;
     // The loop must terminate well before 10 rounds on a small design.
     EXPECT_LT(res.rounds(), 10u);
     // Size accounting must be consistent.

@@ -348,7 +348,8 @@ TEST(ObjectiveFlow, IteratedDepthFlowNeverDeepens) {
     const Aig g = bg::circuits::make_benchmark_scaled("b07", 0.3);
     FlowConfig fc = quick_flow_config();
     fc.objective = make_objective("depth");
-    const auto res = bg::core::run_iterated_flow(g, model, fc, 2);
+    const auto res =
+        bg::core::run_design_flow({"b07", g}, model, fc, 2, nullptr).iterated;
     EXPECT_EQ(res.original_depth, g.depth());
     EXPECT_LE(res.final_depth, res.original_depth);
     EXPECT_LE(res.final_depth_ratio, 1.0 + 1e-12);

@@ -129,8 +129,10 @@ TEST(SizeParity, IteratedFlowCommitsIdenticalGraphs) {
     FlowConfig explicit_size = flow_config();
     explicit_size.objective = bg::opt::make_objective("size");
 
-    const auto ra = run_iterated_flow(g, model, defaulted, 3);
-    const auto rb = run_iterated_flow(g, model, explicit_size, 3);
+    const DesignJob job{"b10", g};
+    const auto ra = run_design_flow(job, model, defaulted, 3, nullptr).iterated;
+    const auto rb =
+        run_design_flow(job, model, explicit_size, 3, nullptr).iterated;
     EXPECT_EQ(ra.original_size, rb.original_size);
     EXPECT_EQ(ra.final_size, rb.final_size);
     EXPECT_EQ(ra.per_round_reduction, rb.per_round_reduction);

@@ -45,6 +45,7 @@ void expect_identical(const OrchestrationResult& got,
     EXPECT_EQ(got.num_checked, want.num_checked);
     EXPECT_EQ(got.num_applied, want.num_applied);
     EXPECT_EQ(got.num_rejected, want.num_rejected);
+    EXPECT_EQ(got.touched, want.touched);
 }
 
 TEST(OrchestrateParallel, BitIdenticalToSequentialOnRegistryDesigns) {
@@ -101,9 +102,8 @@ TEST(OrchestrateParallel, TouchedSetMatchesSequentialFallback) {
 }
 
 TEST(OrchestrateParallel, ForcedConflictsRollBackDeterministically) {
-    // Single-root regions with a huge speculation batch maximize stale
-    // speculation: many regions are checked against the frozen graph
-    // while earlier commits mutate it.  Conflicted speculations must be
+    // Single-root regions maximize stale speculation: many regions are
+    // checked against the frozen graph while earlier commits mutate it.  Conflicted speculations must be
     // re-checked inline so the result stays bit-identical — and at least
     // one conflict must actually fire, or this test proves nothing.
     std::size_t total_conflicts = 0;
@@ -121,7 +121,6 @@ TEST(OrchestrateParallel, ForcedConflictsRollBackDeterministically) {
             IntraParallel intra;
             intra.pool = &pool;
             intra.region_roots = 1;
-            intra.spec_batch = 1U << 20;
             Aig g = design;
             const auto res = orchestrate_parallel(
                 g, d, {}, bg::opt::size_objective(), intra);

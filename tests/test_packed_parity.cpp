@@ -86,7 +86,7 @@ TEST(PackedParity, IteratedFlowsIdenticalAcrossWorkerCounts) {
     for (const auto& job : jobs) {
         BoolGebraModel m(model);
         reference.push_back(
-            run_iterated_flow(job.design, m, parity_flow(), 2));
+            run_design_flow(job, m, parity_flow(), 2, nullptr).iterated);
     }
 
     for (const std::size_t workers : {1UL, 2UL, 4UL}) {

@@ -4,37 +4,18 @@
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "circuits/registry.hpp"
+#include "core/features.hpp"
 #include "core/sampling.hpp"
+#include "util/cancel.hpp"
 #include "util/parallel.hpp"
 
 namespace {
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-    for (const std::size_t n : {0UL, 1UL, 7UL, 100UL, 1000UL}) {
-        std::vector<std::atomic<int>> hits(n);
-        bg::parallel_for(n, [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-        }
-    }
-}
-
-TEST(ParallelFor, WorksWithExplicitWorkerCounts) {
-    const std::size_t n = 64;
-    for (const std::size_t workers : {1UL, 2UL, 3UL, 16UL, 100UL}) {
-        std::vector<int> out(n, 0);
-        bg::parallel_for(
-            n, [&](std::size_t i) { out[i] = static_cast<int>(i * i); },
-            workers);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(out[i], static_cast<int>(i * i));
-        }
-    }
-}
-
-TEST(ParallelFor, DefaultWorkerCountIsPositive) {
+TEST(ThreadPool, DefaultWorkerCountIsPositive) {
     EXPECT_GE(bg::default_worker_count(), 1u);
 }
 
@@ -143,13 +124,61 @@ TEST(ThreadPool, NestedForEachInsidePoolJobsDoesNotDeadlock) {
     }
 }
 
+TEST(ForEachIndex, NullPoolRunsInlineInIndexOrder) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bg::for_each_index(nullptr, 5, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Cancellation, PreCancelledGuidedSamplingThrowsInsteadOfAborting) {
+    // A cancel raised inside a sampling loop must reach the caller as a
+    // CancelledError — inline and on a pool — never terminate the process.
+    const auto g = bg::circuits::make_benchmark_scaled("b10", 0.4);
+    bg::CancelToken token;
+    token.request_cancel();
+    bg::opt::OptParams params;
+    params.cancel = &token;
+    EXPECT_THROW((void)bg::core::generate_guided_samples(g, 8, 1, params),
+                 bg::CancelledError);
+    bg::ThreadPool pool(2);
+    EXPECT_THROW((void)bg::core::generate_guided_samples(
+                     g, 8, 1, params, nullptr, nullptr, &pool),
+                 bg::CancelledError);
+    // Random sampling has no static-feature pass: the cancel surfaces in
+    // the per-sample orchestrate walks of the evaluation loop.
+    EXPECT_THROW((void)bg::core::generate_random_samples(g, 8, 1, params),
+                 bg::CancelledError);
+    EXPECT_THROW((void)bg::core::generate_random_samples(g, 8, 1, params,
+                                                         nullptr, &pool),
+                 bg::CancelledError);
+}
+
+TEST(Cancellation, StaticFeaturesHonourAPreCancelledToken) {
+    const auto g = bg::circuits::make_benchmark_scaled("b10", 0.4);
+    bg::CancelToken token;
+    token.request_cancel();
+    bg::opt::OptParams params;
+    params.cancel = &token;
+    EXPECT_THROW((void)bg::core::compute_static_features(g, params),
+                 bg::CancelledError);
+    bg::ThreadPool pool(2);
+    EXPECT_THROW((void)bg::core::compute_static_features(g, params, &pool),
+                 bg::CancelledError);
+}
+
 TEST(ParallelDeterminism, SamplesIndependentOfWorkerScheduling) {
     // The sampling pipelines write into per-index slots, so results must
     // be identical regardless of thread interleaving.  Run the same batch
-    // twice and compare exactly.
+    // inline and on a pool and compare exactly.
     const auto g = bg::circuits::make_benchmark_scaled("b10", 0.4);
+    bg::ThreadPool pool(4);
     const auto a = bg::core::generate_guided_samples(g, 24, 5);
-    const auto b = bg::core::generate_guided_samples(g, 24, 5);
+    const auto b = bg::core::generate_guided_samples(g, 24, 5, {}, nullptr,
+                                                     nullptr, &pool);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].reduction, b[i].reduction) << i;
@@ -160,8 +189,9 @@ TEST(ParallelDeterminism, SamplesIndependentOfWorkerScheduling) {
 
 TEST(ParallelDeterminism, StaticFeaturesStable) {
     const auto g = bg::circuits::make_benchmark_scaled("b09", 0.5);
+    bg::ThreadPool pool(4);
     const auto f1 = bg::core::compute_static_features(g);
-    const auto f2 = bg::core::compute_static_features(g);
+    const auto f2 = bg::core::compute_static_features(g, {}, &pool);
     ASSERT_EQ(f1.size(), f2.size());
     for (std::size_t v = 0; v < f1.size(); ++v) {
         EXPECT_EQ(f1[v], f2[v]) << "var " << v;

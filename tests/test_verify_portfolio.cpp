@@ -262,7 +262,7 @@ TEST(SatCecFull, SpuriousCounterexamplePathNeverThrows) {
         const Lit b = h.add_pi();
         h.add_po(h.or_(lit_not(a), lit_not(b)));
     }
-    for (const std::vector<bool> cex :
+    for (const std::vector<bool>& cex :
          {std::vector<bool>{false, false}, std::vector<bool>{true, false},
           std::vector<bool>{false, true}, std::vector<bool>{true, true}}) {
         EXPECT_NO_THROW({

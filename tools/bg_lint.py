@@ -18,6 +18,11 @@ Rules (see docs/static-analysis.md for rationale and waiver workflow):
                    in src/opt: speculation waves must stay lock-free
                    (read-only against a frozen graph) — a lock in a wave
                    body is either a data-race bandage or a scalability bug.
+  raw-thread       No std::thread / std::jthread / std::async under src/
+                   outside src/util/parallel.* and src/net.  Compute runs
+                   on the caller's ThreadPool (null = inline), so the pool
+                   size bounds the threads a flow uses; src/net's threads
+                   are connection I/O, not compute.
 
 Waivers: a finding is suppressed when the matching line, or the line
 directly above it, contains `bg-lint: allow(<rule>)`.  Keep a short
@@ -39,6 +44,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 CONTAINER_DIRS = ("src/aig", "src/cut", "src/opt")
 RAW_FANIN_EXEMPT = ("src/aig", "src/io")
 MUTEX_DIRS = ("src/opt",)
+RAW_THREAD_EXEMPT = ("src/util/parallel.hpp", "src/util/parallel.cpp")
+RAW_THREAD_EXEMPT_DIRS = ("src/net",)
 
 CONTAINER_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|map|set)\s*<"
@@ -50,6 +57,7 @@ MUTEX_RE = re.compile(
     r"|\.lock\(\)"
 )
 FOR_EACH_RE = re.compile(r"(\.|->)for_each\(")
+RAW_THREAD_RE = re.compile(r"\bstd::(thread|jthread|async)\b")
 WAIVER_RE = re.compile(r"bg-lint:\s*allow\((?P<rule>[\w-]+)\)")
 
 
@@ -145,6 +153,21 @@ def lint_file(path: pathlib.Path, findings: list[str]) -> None:
                         f"ThreadPool::for_each body (speculation waves must "
                         f"stay lock-free) [mutex-in-foreach]"
                     )
+
+    if (
+        rel.startswith("src/")
+        and rel not in RAW_THREAD_EXEMPT
+        and not in_dirs(rel, RAW_THREAD_EXEMPT_DIRS)
+    ):
+        for i, line in enumerate(lines):
+            if RAW_THREAD_RE.search(strip_comment(line)) and not waived(
+                lines, i, "raw-thread"
+            ):
+                findings.append(
+                    f"{rel}:{i + 1}: raw thread outside src/util/parallel "
+                    f"and src/net (run compute on the caller's ThreadPool "
+                    f"via bg::for_each_index) [raw-thread]"
+                )
 
 
 def main() -> int:
