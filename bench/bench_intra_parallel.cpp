@@ -1,7 +1,7 @@
 /// Harness for the intra-design parallel orchestrator: on a >= 100k-node
 /// scaled registry design and a 1M-node file-backed design, run the same
 /// mixed decision vector through the sequential orchestrator and the
-/// partition/speculate/ordered-commit path at 1/2/4 workers.  Alongside
+/// speculate/ordered-commit path at 1/2/4 workers.  Alongside
 /// the throughput table it self-checks the acceptance bar — bit-identical
 /// committed graphs at every worker count and a >= 1.5x orchestration
 /// speedup at 4 workers on the registry design — and returns nonzero if

@@ -17,7 +17,7 @@
 ///            for LUT labels (measured only when the luts head is on)
 ///   flow     <design...>|--all [--samples N] [--top-k K] [--rounds R]
 ///            [--workers W] [--intra-workers W] [--scale S] [--seed S]
-///            [--model weights.bin] [--random] [--incremental-features]
+///            [--model weights.bin] [--random]
 ///            [--objective size|depth|luts[:K]|weighted:a,b]
 ///            batched GNN-guided flow over one or many designs; design
 ///            arguments may be registry globs (e.g. 'b1*'); --random
@@ -30,9 +30,7 @@
 ///            hardware concurrency); --intra-workers >= 2 also speculates
 ///            the candidate checks *inside* each orchestration pass on that
 ///            pool (bit-identical to sequential; the pool size sets the
-///            parallelism);
-///            --incremental-features maintains per-design features across
-///            committed rounds instead of rebuilding them
+///            parallelism)
 ///   serve    <design...>|--all [flow flags] [--repeat N]
 ///            [--swap-model weights.bin|fresh] [--swap-after N]
 ///            long-lived FlowService demo: submits every design (repeated
@@ -111,7 +109,6 @@ int usage() {
         "           [--workers W] [--intra-workers W] [--scale S] [--seed S]\n"
         "           [--model f] [--random] [--verify]\n"
         "           [--objective size|depth|luts[:K]|weighted:a,b]\n"
-        "           [--incremental-features]\n"
         "  serve    <design...>|--all [flow flags] [--repeat N]\n"
         "           [--swap-model f|fresh] [--swap-after N]\n"
         "  serve    --listen PORT [--bind ADDR]\n"
@@ -364,8 +361,6 @@ FlowArgs parse_flow_args(std::vector<std::string>& args) {
     out.all = flag_present(args, "--all");
     const bool random = flag_present(args, "--random");
     out.cfg.flow.verify = flag_present(args, "--verify");
-    out.cfg.flow.incremental_features =
-        flag_present(args, "--incremental-features");
 
     if (objective_arg) {
         out.cfg.flow.objective = bg::opt::make_objective(*objective_arg);

@@ -445,7 +445,7 @@ bool Aig::is_in_tfi(Var root, Var descendant) const {
         return true;
     }
     // Epoch-marked scratch instead of a per-call vector<bool>: TFI walks
-    // run per candidate, and per region once walks go parallel.  Each
+    // run per candidate, concurrently when checks are speculated.  Each
     // thread owns its scratch, so concurrent walks never share marks.
     thread_local EpochMarks seen;
     thread_local std::vector<Var> stack;

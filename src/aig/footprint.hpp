@@ -15,8 +15,7 @@
 ///
 /// A footprint caps its var list at kFootprintCap entries; on overflow it
 /// degrades to "reads everything", which the orchestrator treats as
-/// always-invalid (the candidate is simply re-checked at commit time) and
-/// the feature cache as always-dirty.
+/// always-invalid (the candidate is simply re-checked at commit time).
 ///
 /// Reads and journal writes are classified so a commit only invalidates
 /// speculations that read the *aspect* of a var it changed: a deref walk
@@ -48,7 +47,7 @@ inline constexpr std::size_t kFootprintCap = 64 * 1024;
 
 /// The recorded read-set of one speculative check: encoded
 /// `fp_encode(var, kind)` entries.  Entries may repeat; consumers dedupe
-/// (or bloom-hash) as needed.
+/// as needed.
 struct ReadFootprint {
     std::vector<std::uint32_t> vars;
     bool overflow = false;
@@ -77,10 +76,6 @@ inline void fp_touch(std::uint32_t v, Read k) {
     }
     fp->vars.push_back(fp_encode(v, k));
 }
-
-/// True while a recorder is active on this thread (used by call-sites
-/// that want to skip building a touch list entirely).
-inline bool fp_active() { return detail::active_footprint != nullptr; }
 
 /// RAII activation of a footprint recorder on the current thread.
 /// Scopes may not nest (the orchestrator records one candidate at a

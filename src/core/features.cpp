@@ -11,6 +11,10 @@ using aig::Aig;
 using aig::Var;
 using opt::OpKind;
 
+namespace {
+
+/// One row of compute_static_features.  Thread-safe for distinct vars;
+/// `params` must already be validated.
 void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
                         std::array<float, static_dim>& row) {
     if (!g.is_and(v) || g.is_dead(v)) {
@@ -31,6 +35,8 @@ void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
                              : -1.0F;
     }
 }
+
+}  // namespace
 
 StaticFeatures compute_static_features(const Aig& g,
                                        const opt::OptParams& params,

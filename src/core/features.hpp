@@ -50,13 +50,6 @@ StaticFeatures compute_static_features(const aig::Aig& g,
                                        const opt::OptParams& params = {},
                                        ThreadPool* pool = nullptr);
 
-/// One row of the above — the per-node unit incremental maintenance
-/// (core/feature_cache.hpp) recomputes for dirty vars.  Thread-safe for
-/// distinct vars; `params` must already be validated.
-void compute_static_row(const aig::Aig& g, aig::Var v,
-                        const opt::OptParams& params,
-                        std::array<float, static_dim>& row);
-
 /// Dynamic one-hot rows from an orchestration trace (`applied` indexed by
 /// original var id, as produced by opt::orchestrate).
 DynamicFeatures compute_dynamic_features(const aig::Aig& g,

@@ -190,14 +190,9 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     }
 
     // Step 1: sample decision vectors (static features cached per design
-    // round by run_design_flow, or maintained incrementally by its
-    // FeatureCache).
+    // round by run_design_flow).
     StaticFeatures st_local;
     const StaticFeatures* st_src = ctx.static_features;
-    if (st_src == nullptr && ctx.feature_cache != nullptr &&
-        ctx.feature_cache->valid()) {
-        st_src = &ctx.feature_cache->features();
-    }
     if (st_src == nullptr) {
         st_local = compute_static_features(design, cfg.opt, ctx.pool);
         st_src = &st_local;
@@ -212,10 +207,6 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     // matrix so inference sees one contiguous block.
     GraphCsr csr_local;
     const GraphCsr* csr_src = ctx.csr;
-    if (csr_src == nullptr && ctx.feature_cache != nullptr &&
-        ctx.feature_cache->valid()) {
-        csr_src = &ctx.feature_cache->csr();
-    }
     if (csr_src == nullptr) {
         csr_local = build_csr(design);
         csr_src = &csr_local;

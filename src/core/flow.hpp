@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "core/feature_cache.hpp"
 #include "core/metrics.hpp"
 #include "core/model.hpp"
 #include "core/sampling.hpp"
@@ -54,21 +53,13 @@ struct FlowConfig {
     /// supplies FlowContext::prover, which carries its own options).
     verify::PortfolioOptions verify_opts;
     /// Intra-design parallelism: when >= 2, every committed or evaluated
-    /// orchestration runs the partition/speculate/ordered-commit path
+    /// orchestration runs the speculate/ordered-commit path
     /// (opt::orchestrate_parallel) on the caller's pool — FlowContext::pool
     /// or run_design_flow's pool, nesting-safe with the outer sample loops
     /// — bit-identical to the sequential pass at any worker count.  The
     /// pool's size sets the speculation width; without a pool, and at
     /// 0/1, the sequential pass runs.
     std::size_t intra_workers = 0;
-    /// Multi-round flows (run_design_flow with rounds > 1) only: maintain
-    /// static features / CSR incrementally across rounds (FeatureCache)
-    /// instead of rebuilding per round.  Feature rows are bit-identical
-    /// to a full rebuild; compaction is deferred until half the slots are
-    /// tombstones, so round-by-round var ids (and therefore sampling)
-    /// differ from the compact-every-round default — results stay
-    /// deterministic either way.
-    bool incremental_features = false;
 };
 
 /// The objective a config resolves to (size when unset).
@@ -188,11 +179,6 @@ struct FlowContext {
     /// Null + verify => run_flow builds a transient one from
     /// cfg.verify_opts on the same pool.
     verify::PortfolioCec* prover = nullptr;
-    /// Incremental per-design feature state (dirty-region tracking).
-    /// When set and valid, run_flow reads static features / CSR from it
-    /// (static_features / csr, when also set, win); run_design_flow owns
-    /// the cache and update()s it with each commit's touched set.
-    FeatureCache* feature_cache = nullptr;
 };
 
 /// Run the full sample -> prune -> evaluate flow on one design.  The

@@ -45,34 +45,23 @@ DesignFlowResult run_design_flow(const DesignJob& job,
 
     // Commit-path intra parallelism speculates on the caller's pool; a
     // null pool runs the sequential pass (orchestrate_parallel stays
-    // bit-identical to it either way, and journals `touched` for the
-    // feature cache).
+    // bit-identical to it either way).
     opt::IntraParallel intra;
     if (flow_cfg.intra_workers >= 2) {
         intra.pool = pool;
     }
-    FeatureCache cache;  // incremental mode only
     bool round1_productive = false;
     for (std::size_t round = 0; round < rounds; ++round) {
         poll_cancel(cancel, "run_design_flow round boundary");
         round_cfg.seed = flow_cfg.seed + round;  // fresh samples per round
-        // Per-round caches shared by every flow step of this design —
-        // rebuilt fresh each round, or maintained incrementally across
-        // commits from each pass's touched set.
-        StaticFeatures st;
-        GraphCsr csr;
+        // Per-round caches shared by every flow step of this design,
+        // computed once on the round's (compacted) graph.
+        const StaticFeatures st =
+            compute_static_features(current, round_cfg.opt, pool);
+        const GraphCsr csr = build_csr(current);
         FlowContext ctx;
-        if (flow_cfg.incremental_features) {
-            if (!cache.valid()) {
-                cache.rebuild(current, round_cfg.opt, pool);
-            }
-            ctx.feature_cache = &cache;
-        } else {
-            st = compute_static_features(current, round_cfg.opt, pool);
-            csr = build_csr(current);
-            ctx.static_features = &st;
-            ctx.csr = &csr;
-        }
+        ctx.static_features = &st;
+        ctx.csr = &csr;
         ctx.pool = pool;
         ctx.prover = prover;
         const FlowResult flow = run_flow(current, model, round_cfg, ctx);
@@ -94,22 +83,9 @@ DesignFlowResult run_design_flow(const DesignJob& job,
         if (rounds == 1) {
             break;  // single-shot: nothing is committed
         }
-        auto decisions = flow.best_decisions;
-        const auto commit = opt::orchestrate_parallel(
-            current, decisions, round_cfg.opt, obj, intra);
-        if (!flow_cfg.incremental_features) {
-            current = current.compact();
-        } else {
-            cache.update(current, round_cfg.opt, commit.touched, pool);
-            // Defer compaction until tombstones dominate; compacting
-            // remaps var ids, so the cache restarts from a full rebuild.
-            const std::size_t dead = current.num_slots() - 1 -
-                                     current.num_pis() - current.num_ands();
-            if (2 * dead >= current.num_slots()) {
-                current = current.compact();
-                cache.invalidate();
-            }
-        }
+        (void)opt::orchestrate_parallel(current, flow.best_decisions,
+                                        round_cfg.opt, obj, intra);
+        current = current.compact();
         if (control != nullptr && control->on_progress) {
             control->on_progress(round + 1, current.num_ands());
         }

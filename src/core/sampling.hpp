@@ -57,8 +57,8 @@ opt::DecisionVector mutate_decisions(const aig::Aig& g,
 /// behavior); `optimized_out`, when given, receives the optimized copy so
 /// graph-needing objectives can measure it before it is discarded.
 /// `intra`, when given with a pool, routes the pass through the
-/// partition/speculate parallel orchestrator on that pool — bit-identical
-/// results, so callers may mix the two paths freely.
+/// speculate/ordered-commit parallel orchestrator on that pool —
+/// bit-identical results, so callers may mix the two paths freely.
 SampleRecord evaluate_decisions(const aig::Aig& design,
                                 opt::DecisionVector decisions,
                                 const opt::OptParams& params = {},

@@ -19,8 +19,8 @@ bool MffcResult::contains(Var v) const {
 namespace {
 
 // Per-thread walk scratch (epoch-stamped, so each call clears in O(1)
-// instead of rebuilding hash sets).  thread_local keeps concurrent
-// region walks independent.
+// instead of rebuilding hash sets).  thread_local keeps concurrently
+// speculated checks independent.
 struct MffcScratch {
     aig::EpochMarks leaf_set;
     aig::EpochMap<std::uint32_t> deficit;

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "aig/footprint.hpp"
-#include "opt/partition.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
@@ -22,6 +21,17 @@ namespace bg::opt {
 using aig::Aig;
 using aig::Var;
 
+namespace {
+
+/// Detaches the graph's mutation journal on every exit path, so a
+/// throwing check or a cancel never leaves it appending to a dead vector.
+struct JournalGuard {
+    Aig& g;
+    ~JournalGuard() { g.set_change_log(nullptr); }
+};
+
+}  // namespace
+
 OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
                                 const OptParams& params,
                                 const Objective& objective) {
@@ -33,15 +43,12 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
     res.original_depth = g.depth();  // freshens levels as a side effect
     res.applied.assign(g.num_slots(), OpKind::None);
 
-    // Journal the pass: `touched` is what incremental feature maintenance
-    // consumes, and audit builds check the journal covers every write.
+#ifdef BOOLGEBRA_AUDIT
+    // Audit builds journal the pass and check the journal covers every
+    // write.
     std::vector<Var> journal;
     g.set_change_log(&journal);
-    struct LogGuard {
-        Aig& g;
-        ~LogGuard() { g.set_change_log(nullptr); }
-    } log_guard{g};
-#ifdef BOOLGEBRA_AUDIT
+    const JournalGuard journal_guard{g};
     analysis::WriteAudit write_audit;
     write_audit.capture(g);
 #endif
@@ -81,16 +88,10 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
         res.applied[v] = op;
         ++res.num_applied;
     }
-    g.set_change_log(nullptr);
 #ifdef BOOLGEBRA_AUDIT
+    g.set_change_log(nullptr);
     write_audit.verify(g, journal, "orchestrate pass");
 #endif
-    for (Var& e : journal) {
-        e = aig::fp_entry_var(e);  // touched is var-granular
-    }
-    std::sort(journal.begin(), journal.end());
-    journal.erase(std::unique(journal.begin(), journal.end()), journal.end());
-    res.touched = std::move(journal);
     res.final_size = g.num_ands();
     res.final_depth = g.depth();
     return res;
@@ -103,15 +104,13 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                                          const IntraParallel& intra) {
     // Depth-aware objectives refresh levels mid-pass, which speculative
     // checks cannot replay; they (and poolless calls) take the sequential
-    // path, which is the definition of correct.  It journals too, so
-    // `touched` is populated either way.
+    // path, which is the definition of correct.
     if (intra.pool == nullptr || intra.pool->size() < 2 ||
         objective.needs_depth()) {
         return orchestrate(g, decisions, params, objective);
     }
     BG_EXPECTS(decisions.size() >= g.num_slots(),
                "decision vector must cover every var id");
-    BG_EXPECTS(intra.region_roots >= 1, "region size must be positive");
     params.validate();
     OrchestrationResult res;
     res.original_size = g.num_ands();
@@ -127,10 +126,6 @@ OrchestrationResult orchestrate_parallel(Aig& g,
             roots.push_back(v);
         }
     }
-    PartitionOptions popts;
-    popts.target_roots = intra.region_roots;
-    const PartitionResult part = partition_regions(g, roots, popts);
-    res.num_regions = part.regions.size();
 
     // One speculation slot per candidate: the check result, the recorded
     // read-set, and the commit count it was speculated against.
@@ -153,18 +148,8 @@ OrchestrationResult orchestrate_parallel(Aig& g,
     std::uint64_t commits_done = 0;
     std::vector<Var> journal;
     g.set_change_log(&journal);
-    struct LogGuard {
-        Aig& g;
-        ~LogGuard() { g.set_change_log(nullptr); }
-    } log_guard{g};
+    const JournalGuard journal_guard{g};
 
-    // Dense decision vectors make every node a root, so MFFCs nest and
-    // overlap merges routinely collapse most of the design into a few
-    // giant regions.  Waves therefore cap at a number of *candidates* and
-    // split oversized regions across waves — speculation is read-only and
-    // the commit walk stays in candidate order, so slicing a region is
-    // semantics-free; what it buys is a fresh epoch every wave, which is
-    // what keeps the conflict rate low.
     // A speculation is consumable iff no aspect it read changed after its
     // epoch (overflowed footprints read "everything" and are never
     // consumable).
@@ -181,68 +166,52 @@ OrchestrationResult orchestrate_parallel(Aig& g,
         return true;
     };
 
+    // Check candidate j against the graph as left by `epoch` commits and
+    // record its read-set (audit builds also check that read-set against
+    // the reads the accessors observed).  Read-only: nothing mutates the
+    // graph while a speculation round runs, so concurrent calls for
+    // distinct candidates see one frozen graph.
+    const auto speculate = [&](std::size_t j, std::uint64_t epoch) {
+        const Var v = roots[j];
+        Spec& s = specs[j];
+        s.fp.clear();
+        s.epoch = epoch;
+#ifdef BOOLGEBRA_AUDIT
+        thread_local aig::audit::ShadowSet shadow;
+        shadow.clear();
+        const aig::audit::ShadowScope audit_scope(shadow);
+#endif
+        const aig::FootprintScope scope(s.fp);
+        s.check = check_op(g, v, decisions[v], params);
+#ifdef BOOLGEBRA_AUDIT
+        analysis::verify_read_soundness(s.fp, shadow, v,
+                                        to_string(decisions[v]));
+#endif
+    };
+
     // Waves cap at 16 candidates per worker: every commit inside a wave
     // can stale the wave's tail, so oversized waves just re-speculate the
     // same candidates over and over (measured ~2.7x redundant check work
     // at 2048 vs ~1.8x at 16 per worker on a 4-worker pool, with no
-    // utilization win).
+    // utilization win).  A fresh wave speculates at a fresh epoch, which
+    // is what keeps the conflict rate low.
     const std::size_t wave_cap = 16 * intra.pool->size();
 #ifdef BOOLGEBRA_AUDIT
     analysis::WriteAudit write_audit;
 #endif
     std::size_t first = 0;
-    std::size_t region_idx = 0;  // region containing candidate `first`
-    std::vector<std::pair<std::size_t, std::size_t>> slices;
     std::vector<std::size_t> stale;
     while (first < roots.size()) {
         const std::size_t last = std::min(first + wave_cap, roots.size());
         const std::uint64_t epoch = commits_done;
 
-        // Task slices of [first, last): aligned to region boundaries when
-        // regions are small, split further when one region spans the whole
-        // wave so every worker stays busy.
-        slices.clear();
-        const std::size_t grain = std::max<std::size_t>(
-            8, (last - first) / (intra.pool->size() * 4));
-        std::size_t s = first;
-        while (s < last) {
-            while (part.regions[region_idx].first +
-                       part.regions[region_idx].count <=
-                   s) {
-                ++region_idx;
-            }
-            const Region& region = part.regions[region_idx];
-            const std::size_t e =
-                std::min({last, region.first + region.count, s + grain});
-            slices.emplace_back(s, e);
-            s = e;
-        }
-
-        // Read-only speculation: nothing mutates the graph until the
-        // commit walk below, so concurrent slice checks see a frozen
-        // graph.  Dead candidates stay dead for the rest of the pass, so
-        // skipping them here can never desynchronize from the commit walk.
-        intra.pool->for_each(slices.size(), [&](std::size_t k) {
-            for (std::size_t c = slices[k].first; c < slices[k].second;
-                 ++c) {
-                const Var v = roots[c];
-                if (g.is_dead(v)) {
-                    continue;
-                }
-                Spec& s = specs[c];
-                s.fp.clear();
-                s.epoch = epoch;
-#ifdef BOOLGEBRA_AUDIT
-                thread_local aig::audit::ShadowSet shadow;
-                shadow.clear();
-                const aig::audit::ShadowScope audit_scope(shadow);
-#endif
-                const aig::FootprintScope scope(s.fp);
-                s.check = check_op(g, v, decisions[v], params);
-#ifdef BOOLGEBRA_AUDIT
-                analysis::verify_read_soundness(s.fp, shadow, v,
-                                                to_string(decisions[v]));
-#endif
+        // One pool index per candidate: check costs vary ~10x between
+        // ops, and the pool hands indices out dynamically.  Dead
+        // candidates stay dead for the rest of the pass, so skipping them
+        // here can never desynchronize from the commit walk.
+        intra.pool->for_each(last - first, [&](std::size_t k) {
+            if (!g.is_dead(roots[first + k])) {
+                speculate(first + k, epoch);
             }
         });
         res.num_speculated += last - first;
@@ -277,30 +246,12 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                 if (stale.size() >= 4) {
                     const std::uint64_t epoch_now = commits_done;
                     intra.pool->for_each(stale.size(), [&](std::size_t k) {
-                        const std::size_t j = stale[k];
-                        Spec& sj = specs[j];
-                        sj.fp.clear();
-                        sj.epoch = epoch_now;
-#ifdef BOOLGEBRA_AUDIT
-                        thread_local aig::audit::ShadowSet shadow;
-                        shadow.clear();
-                        const aig::audit::ShadowScope audit_scope(shadow);
-#endif
-                        const aig::FootprintScope scope(sj.fp);
-                        sj.check = check_op(g, roots[j], decisions[roots[j]],
-                                            params);
-#ifdef BOOLGEBRA_AUDIT
-                        analysis::verify_read_soundness(
-                            sj.fp, shadow, roots[j],
-                            to_string(decisions[roots[j]]));
-#endif
+                        speculate(stale[k], epoch_now);
                     });
                     res.num_speculated += stale.size();
                 } else {
-                    Spec& sc = specs[c];
-                    sc.fp.clear();
-                    sc.epoch = commits_done;
-                    sc.check = check_op(g, v, decisions[v], params);
+                    // Consumed right below, so no read-set is needed.
+                    specs[c].check = check_op(g, v, decisions[v], params);
                 }
             }
             CheckResult check = std::move(specs[c].check);
@@ -338,14 +289,6 @@ OrchestrationResult orchestrate_parallel(Aig& g,
     }
 
     g.set_change_log(nullptr);
-    // Some aspect of u stamped iff some commit journaled u: that is
-    // exactly the touched set, and scanning the stamps yields it
-    // pre-sorted.
-    for (std::size_t u = 0; u < dirty[0].size(); ++u) {
-        if (dirty[0][u] != 0 || dirty[1][u] != 0 || dirty[2][u] != 0) {
-            res.touched.push_back(static_cast<Var>(u));
-        }
-    }
     res.final_size = g.num_ands();
     res.final_depth = g.depth();
     return res;

@@ -39,13 +39,8 @@ struct OrchestrationResult {
     std::size_t num_rejected = 0;
 
     /// Intra-design parallel statistics (zero on the sequential path).
-    std::size_t num_regions = 0;     ///< MFFC-disjoint regions partitioned
     std::size_t num_speculated = 0;  ///< checks speculated on the pool
     std::size_t num_conflicts = 0;   ///< speculations invalidated, re-checked
-    /// Vars structurally touched by the committed transforms (sorted,
-    /// deduplicated) — the dirty set incremental feature maintenance
-    /// consumes.  Both orchestrate and orchestrate_parallel report it.
-    std::vector<aig::Var> touched;
 
     int reduction() const {
         return static_cast<int>(original_size) -
@@ -59,21 +54,20 @@ struct OrchestrationResult {
 
 /// Run Algorithm 1 in place.  `decisions` must cover every var id present
 /// at entry (g.num_slots()); vars created during the pass are not visited
-/// (they are "unseen" nodes in the paper's terminology).  The pass
-/// journals its writes (Aig::set_change_log) to fill
-/// OrchestrationResult::touched; audit builds check that journal against
-/// the graph's state diff.  The objective
-/// gates which applicable candidates are committed: the default
-/// SizeObjective applies every one (pre-objective behavior, bit-identical
-/// results); depth-aware objectives keep the level annotation fresh so
-/// each check's local depth delta is meaningful, and veto candidates
-/// whose local gain they reject (counted in num_rejected).
+/// (they are "unseen" nodes in the paper's terminology).  Audit builds
+/// journal the pass's writes (Aig::set_change_log) and check that journal
+/// against the graph's state diff.  The objective gates which applicable
+/// candidates are committed: the default SizeObjective applies every one
+/// (pre-objective behavior, bit-identical results); depth-aware
+/// objectives keep the level annotation fresh so each check's local
+/// depth delta is meaningful, and veto candidates whose local gain they
+/// reject (counted in num_rejected).
 OrchestrationResult orchestrate(aig::Aig& g,
                                 std::span<const OpKind> decisions,
                                 const OptParams& params = {},
                                 const Objective& objective = size_objective());
 
-/// Knobs of the intra-design parallel orchestrator.  Waves speculate at
+/// Where the intra-design parallel orchestrator runs.  Waves speculate at
 /// most 16 candidates per pool worker (commits stale their wave's tail,
 /// so larger waves only buy redundant re-speculation), and a candidate
 /// whose read-footprint overflows aig::kFootprintCap is re-checked at
@@ -82,18 +76,16 @@ struct IntraParallel {
     /// Pool the speculation waves run on; nullptr (or a pool with fewer
     /// than two workers) falls back to the sequential path.
     ThreadPool* pool = nullptr;
-    /// Preferred roots per MFFC-disjoint region (the parallel work unit).
-    std::size_t region_roots = 32;
 };
 
-/// Algorithm 1 with partition/speculate/ordered-commit parallelism:
-/// candidate checks are speculated region-parallel on the pool against a
-/// frozen graph, then committed one at a time in the exact sequential
-/// topological order.  A commit journals every var it structurally
-/// touches; a speculated check whose recorded read-set intersects a
-/// later commit is invalidated and transparently re-checked inline, so
-/// the committed result — graph, counters, applied vector, touched set —
-/// is bit-identical to `orchestrate` at any worker count.  Depth-aware
+/// Algorithm 1 with speculate/ordered-commit parallelism: each wave's
+/// candidate checks are speculated on the pool (one task per candidate)
+/// against a frozen graph, then committed one at a time in the exact
+/// sequential topological order.  A commit journals every var it
+/// structurally touches; a speculated check whose recorded read-set
+/// intersects a later commit is invalidated and transparently re-checked,
+/// so the committed result — graph, counters, applied vector — is
+/// bit-identical to `orchestrate` at any worker count.  Depth-aware
 /// objectives (which refresh levels mid-pass) and poolless calls run
 /// plain `orchestrate`.
 OrchestrationResult orchestrate_parallel(

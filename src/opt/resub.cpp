@@ -25,7 +25,7 @@ namespace {
 
 /// Transitive fanout of v (including v) marked into epoch scratch —
 /// replaces the per-call hash set; thread_local at the call site keeps
-/// concurrent region walks independent.  Every member's fanout list is
+/// concurrently speculated checks independent.  Every member's fanout list is
 /// read, so every member is footprint-touched: a later fanout change
 /// anywhere in the TFO invalidates a speculated check.
 void tfo_mark(const Aig& g, Var v, aig::EpochMarks& out) {

@@ -284,7 +284,7 @@ TEST(AuditCorruption, DroppedStrashEntryCaught) {
 }
 
 TEST(AuditEndToEnd, ParallelOrchestratorRunsAuditClean) {
-    // The whole point of the audit build: a full partition / speculate /
+    // The whole point of the audit build: a full speculate /
     // ordered-commit pass over real designs with every speculation's
     // shadow set checked against its declared footprint and every commit
     // checked against the mutation journal.  Any missing fp_touch or

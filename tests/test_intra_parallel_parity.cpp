@@ -4,7 +4,7 @@
 /// a pool of that size must reproduce the sequential, inline
 /// (intra_workers = 0, no pool) result field for field on every registry
 /// design — no float tolerance.  This is the user-visible
-/// acceptance bar for the partition/speculate/ordered-commit refactor:
+/// acceptance bar for the speculate/ordered-commit orchestrator:
 /// parallelism is a pure latency optimization, invisible in the output.
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
 /// \file test_orchestrate_parallel.cpp
-/// The partition/speculate/ordered-commit orchestrator against its
-/// sequential reference: bit-identical graphs, counters and applied
-/// vectors at 1/2/4 intra-workers, identical `touched` sets, rollback
-/// determinism under forced conflicts, and the depth-objective fallback.
+/// The speculate/ordered-commit orchestrator against its sequential
+/// reference: bit-identical graphs, counters and applied vectors at 1/2/4
+/// intra-workers, rollback determinism under conflicts, repeatable
+/// speculation counters, and the depth-objective fallback.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +45,6 @@ void expect_identical(const OrchestrationResult& got,
     EXPECT_EQ(got.num_checked, want.num_checked);
     EXPECT_EQ(got.num_applied, want.num_applied);
     EXPECT_EQ(got.num_rejected, want.num_rejected);
-    EXPECT_EQ(got.touched, want.touched);
 }
 
 TEST(OrchestrateParallel, BitIdenticalToSequentialOnRegistryDesigns) {
@@ -73,39 +72,12 @@ TEST(OrchestrateParallel, BitIdenticalToSequentialOnRegistryDesigns) {
     }
 }
 
-TEST(OrchestrateParallel, TouchedSetMatchesSequentialFallback) {
-    // The fallback journals the sequential pass; the parallel path scans
-    // its dirty array.  Both must report the same sorted deduplicated set
-    // — that set is what incremental feature maintenance consumes.
-    for (const auto& name : bg::circuits::benchmark_names()) {
-        SCOPED_TRACE(name);
-        const Aig design = bg::circuits::make_benchmark_scaled(name, 0.3);
-        const DecisionVector d = mixed_decisions(design);
-
-        Aig seq = design;
-        const auto res_seq =
-            orchestrate_parallel(seq, d, {}, bg::opt::size_objective(), {});
-        EXPECT_TRUE(std::is_sorted(res_seq.touched.begin(),
-                                   res_seq.touched.end()));
-
-        ThreadPool pool(4);
-        IntraParallel intra;
-        intra.pool = &pool;
-        Aig par = design;
-        const auto res_par = orchestrate_parallel(
-            par, d, {}, bg::opt::size_objective(), intra);
-        EXPECT_EQ(res_par.touched, res_seq.touched);
-        if (res_seq.num_applied > 0) {
-            EXPECT_FALSE(res_seq.touched.empty());
-        }
-    }
-}
-
 TEST(OrchestrateParallel, ForcedConflictsRollBackDeterministically) {
-    // Single-root regions maximize stale speculation: many regions are
-    // checked against the frozen graph while earlier commits mutate it.  Conflicted speculations must be
-    // re-checked inline so the result stays bit-identical — and at least
-    // one conflict must actually fire, or this test proves nothing.
+    // Every candidate of a wave is speculated against the graph frozen at
+    // the wave's start, so each commit inside the wave can stale the
+    // candidates behind it.  Conflicted speculations must be re-checked
+    // so the result stays bit-identical — and at least one conflict must
+    // actually fire, or this test proves nothing.
     std::size_t total_conflicts = 0;
     for (const auto& name : bg::circuits::benchmark_names()) {
         const Aig design = bg::circuits::make_benchmark_scaled(name, 0.3);
@@ -120,7 +92,6 @@ TEST(OrchestrateParallel, ForcedConflictsRollBackDeterministically) {
             ThreadPool pool(workers);
             IntraParallel intra;
             intra.pool = &pool;
-            intra.region_roots = 1;
             Aig g = design;
             const auto res = orchestrate_parallel(
                 g, d, {}, bg::opt::size_objective(), intra);
@@ -141,7 +112,6 @@ TEST(OrchestrateParallel, RepeatedRunsAreDeterministic) {
     ThreadPool pool(4);
     IntraParallel intra;
     intra.pool = &pool;
-    intra.region_roots = 4;
 
     std::uint64_t first_fp = 0;
     OrchestrationResult first;
@@ -157,15 +127,16 @@ TEST(OrchestrateParallel, RepeatedRunsAreDeterministic) {
         }
         SCOPED_TRACE("run=" + std::to_string(run));
         expect_identical(res, first);
-        EXPECT_EQ(res.touched, first.touched);
+        EXPECT_EQ(res.num_speculated, first.num_speculated);
+        EXPECT_EQ(res.num_conflicts, first.num_conflicts);
         EXPECT_EQ(fp, first_fp);
     }
 }
 
 TEST(OrchestrateParallel, DepthObjectiveTakesSequentialPath) {
     // Depth-aware objectives refresh levels mid-pass; the parallel path
-    // cannot speculate against them and must fall back (no regions, no
-    // speculation) while still matching plain orchestrate bit for bit.
+    // cannot speculate against them and must fall back (no speculation)
+    // while still matching plain orchestrate bit for bit.
     const Aig design = bg::circuits::make_benchmark_scaled("b09", 0.4);
     const DecisionVector d = mixed_decisions(design);
     const bg::opt::DepthObjective depth_obj;
@@ -179,7 +150,6 @@ TEST(OrchestrateParallel, DepthObjectiveTakesSequentialPath) {
     Aig g = design;
     const auto res = orchestrate_parallel(g, d, {}, depth_obj, intra);
     expect_identical(res, res_ref);
-    EXPECT_EQ(res.num_regions, 0u);
     EXPECT_EQ(res.num_speculated, 0u);
     EXPECT_EQ(structural_fingerprint(g), structural_fingerprint(ref));
 }
