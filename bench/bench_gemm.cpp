@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "naive_gemm.hpp"
 #include "nn/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
         const Matrix a = random_matrix(c.n, c.k, rng);
         const Matrix b = random_matrix(c.k, c.m, rng);
         Matrix ref;
-        bg::nn::matmul_naive(a, b, ref);
+        bg::test::matmul_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul(a, b, out);
         Matrix out_pool;
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
             2.0 * static_cast<double>(c.n) * static_cast<double>(c.k) *
             static_cast<double>(c.m) * 1e-9;
         const double t_naive = time_best(
-            [&] { bg::nn::matmul_naive(a, b, out); }, reps, min_time);
+            [&] { bg::test::matmul_naive(a, b, out); }, reps, min_time);
         const double t_blocked =
             time_best([&] { bg::nn::matmul(a, b, out); }, reps, min_time);
         const double t_pool = time_best(
@@ -144,13 +145,13 @@ int main(int argc, char** argv) {
         const Matrix a = random_matrix(256, 192, rng);
         const Matrix b = random_matrix(256, 160, rng);
         Matrix ref;
-        bg::nn::matmul_tn_naive(a, b, ref);
+        bg::test::matmul_tn_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul_tn(a, b, out);
         all_ok = all_ok && bit_equal(ref, out);
         const double gflop = 2.0 * 192.0 * 256.0 * 160.0 * 1e-9;
         const double tn_naive = time_best(
-            [&] { bg::nn::matmul_tn_naive(a, b, out); }, reps, min_time);
+            [&] { bg::test::matmul_tn_naive(a, b, out); }, reps, min_time);
         const double tn_blocked =
             time_best([&] { bg::nn::matmul_tn(a, b, out); }, reps, min_time);
         std::printf("%-14s %8.2fGF %8.2fGF %10s %8.2fx\n", "tn-256",
@@ -160,13 +161,13 @@ int main(int argc, char** argv) {
         const Matrix d = random_matrix(256, 192, rng);
         const Matrix e = random_matrix(160, 192, rng);
         Matrix ref_nt;
-        bg::nn::matmul_nt_naive(d, e, ref_nt);
+        bg::test::matmul_nt_naive(d, e, ref_nt);
         Matrix out_nt;
         bg::nn::matmul_nt(d, e, out_nt);
         all_ok = all_ok && bit_equal(ref_nt, out_nt);
         const double gflop_nt = 2.0 * 256.0 * 192.0 * 160.0 * 1e-9;
         const double nt_naive = time_best(
-            [&] { bg::nn::matmul_nt_naive(d, e, out_nt); }, reps, min_time);
+            [&] { bg::test::matmul_nt_naive(d, e, out_nt); }, reps, min_time);
         const double nt_blocked = time_best(
             [&] { bg::nn::matmul_nt(d, e, out_nt); }, reps, min_time);
         std::printf("%-14s %8.2fGF %8.2fGF %10s %8.2fx\n", "nt-256",

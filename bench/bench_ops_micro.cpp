@@ -295,7 +295,7 @@ void BM_ModelForwardBackward(benchmark::State& state) {
     }
     for (auto _ : state) {
         model.zero_grad();
-        auto pred = model.forward(x, ds.csr(), 8, /*train=*/true);
+        auto pred = model.forward(x, ds.csr(), 8);
         bg::nn::Matrix dpred(pred.rows(), 1);
         for (std::size_t i = 0; i < 8; ++i) {
             dpred.at(i, 0) = pred.at(i, 0) - labels[i];

@@ -322,7 +322,7 @@ int cmd_train(Aig g, std::vector<std::string> args) {
     std::printf("trained %zu parameters for %zu epochs in %.1fs\n",
                 model.num_parameters(), tc.epochs, sw.seconds());
     const auto head_losses =
-        bg::core::evaluate_head_losses(model, ds, tr.split.test);
+        bg::core::evaluate_head_losses(model, ds, tr.splits.front().test);
     for (std::size_t h = 0; h < head_losses.size(); ++h) {
         std::printf("  head %-5s test MSE %.5f\n",
                     bg::core::to_string(model.heads()[h]), head_losses[h]);

@@ -45,7 +45,7 @@ struct Gen {
 
 /// Naively expanded SOP: OR of random cubes built with arbitrary literal
 /// association, no sharing.  ISOP+factoring (rf) usually shrinks these.
-void block_naive_sop(Gen& s) {
+void block_plain_sop(Gen& s) {
     const auto vars = s.pick_distinct(3 + s.rng.next_below(3));
     if (vars.size() < 2) {
         return;
@@ -227,12 +227,12 @@ Aig generate_circuit(const GeneratorParams& params) {
     if (params.family == Family::Control) {
         mix = {block_rewrite_food, block_rewrite_food, block_rewrite_food,
                block_mux_tree,     block_mux_tree,     block_control,
-               block_control,      block_naive_sop,    block_distributed,
+               block_control,      block_plain_sop,    block_distributed,
                block_rederive,     block_parity};
     } else {
         mix = {block_rewrite_food, block_rewrite_food, block_mux_tree,
                block_mux_tree,     block_adder,        block_adder,
-               block_compare,      block_distributed,  block_naive_sop,
+               block_compare,      block_distributed,  block_plain_sop,
                block_rederive};
     }
 

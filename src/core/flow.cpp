@@ -34,32 +34,6 @@ std::vector<OpKind> predicted_applied(const Aig& g, const DecisionVector& d,
     return applied;
 }
 
-std::vector<DecisionVector> generate_decisions(const Aig& design,
-                                               std::size_t n, bool guided,
-                                               std::uint64_t seed,
-                                               const StaticFeatures& st) {
-    bg::Rng rng(seed);
-    std::vector<DecisionVector> out;
-    out.reserve(n);
-    if (!guided) {
-        for (std::size_t i = 0; i < n; ++i) {
-            out.push_back(random_decisions(design, rng));
-        }
-        return out;
-    }
-    const DecisionVector base = priority_decisions(design, st, rng);
-    if (n > 0) {
-        out.push_back(base);
-    }
-    static constexpr double fractions[] = {0.1, 0.2, 0.3, 0.4, 0.5,
-                                           0.6, 0.7, 0.8, 0.9};
-    for (std::size_t i = 1; i < n; ++i) {
-        const double frac = fractions[(i - 1) % std::size(fractions)];
-        out.push_back(mutate_decisions(design, base, frac, rng));
-    }
-    return out;
-}
-
 const opt::Objective& flow_objective(const FlowConfig& cfg) {
     return cfg.objective != nullptr ? *cfg.objective : opt::size_objective();
 }

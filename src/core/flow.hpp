@@ -157,11 +157,6 @@ std::vector<opt::OpKind> predicted_applied(const aig::Aig& g,
                                            const opt::DecisionVector& d,
                                            const StaticFeatures& st);
 
-/// Generate decision vectors only (no evaluation): the flow's step 1.
-std::vector<opt::DecisionVector> generate_decisions(
-    const aig::Aig& design, std::size_t n, bool guided, std::uint64_t seed,
-    const StaticFeatures& st);
-
 /// Shared per-design state a caller may supply to avoid recomputation, and
 /// an optional persistent worker pool for the inner loops.  All members
 /// are optional; run_flow computes whatever is missing.  Cached values
@@ -181,10 +176,11 @@ struct FlowContext {
     verify::PortfolioCec* prover = nullptr;
 };
 
-/// Run the full sample -> prune -> evaluate flow on one design.  The
-/// model is shared read-only: inference goes through the const
-/// predict_batch/forward_eval path, so one instance (or one FlowService
-/// snapshot) can serve many concurrent flows without copies.
+/// Run the full sample -> prune -> evaluate flow on one design.  Step 1
+/// is generate_decisions (core/sampling.hpp).  The model is shared
+/// read-only: inference goes through the const
+/// predict_batch_head/_blend path (forward_eval), so one instance (or one
+/// FlowService snapshot) can serve many concurrent flows without copies.
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
                     const FlowConfig& cfg = {});
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,

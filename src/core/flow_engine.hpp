@@ -12,9 +12,9 @@
 /// so nesting cannot deadlock).  Per design round it computes the static
 /// features and CSR adjacency once and shares them with every flow step;
 /// candidate features are assembled in place into a stacked batch matrix
-/// whose chunks reach BoolGebraModel::predict_batch as zero-copy row-panel
-/// views, and the pool also shards the blocked GEMM row panels inside
-/// inference (bit-stable, see nn/matrix.hpp).
+/// whose chunks reach BoolGebraModel::predict_batch_head as zero-copy
+/// row-panel views, and the pool also shards the blocked GEMM row panels
+/// inside inference (bit-stable, see nn/matrix.hpp).
 ///
 /// The model is shared read-only across every concurrent job — inference
 /// runs the const eval path (forward_eval), so no per-job model copy is

@@ -22,8 +22,8 @@
 ///    instead.  Every queued/in-flight job keeps the snapshot it was
 ///    bound to at submit() time and finishes on it.  This is sound
 ///    because eval-mode inference is genuinely const
-///    (BoolGebraModel::predict_batch / forward_eval) — no per-job model
-///    copy is ever made.
+///    (BoolGebraModel::predict_batch_head / forward_eval) — no per-job
+///    model copy is ever made.
 ///  * **Timeouts and cooperative cancellation.**  SubmitOptions arms a
 ///    per-job CancelToken (deadline and/or external cancel); the token is
 ///    polled at run_flow stage boundaries and inside the orchestrate node

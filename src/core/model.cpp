@@ -10,6 +10,13 @@ namespace bg::core {
 
 using nn::Matrix;
 
+namespace {
+
+/// The model's input width: one column per node feature.
+constexpr auto kInDim = static_cast<std::size_t>(feature_dim);
+
+}  // namespace
+
 BoolGebraModel::BoolGebraModel(const ModelConfig& cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
@@ -30,7 +37,7 @@ BoolGebraModel::BoolGebraModel(const ModelConfig& cfg)
     BG_EXPECTS(has_head(MetricHead::Size),
                "every model carries the size head (the ranking fallback)");
     bg::Rng init(cfg.seed);
-    int in = cfg.in_dim;
+    int in = feature_dim;
     for (const int out : cfg.sage_dims) {
         convs_.emplace_back(static_cast<std::size_t>(in),
                             static_cast<std::size_t>(out), init);
@@ -63,8 +70,7 @@ std::optional<std::size_t> BoolGebraModel::head_index(MetricHead head) const {
 
 void BoolGebraModel::set_input_stats(std::vector<float> mean,
                                      std::vector<float> stddev) {
-    BG_EXPECTS(mean.size() == static_cast<std::size_t>(cfg_.in_dim) &&
-                   stddev.size() == static_cast<std::size_t>(cfg_.in_dim),
+    BG_EXPECTS(mean.size() == kInDim && stddev.size() == kInDim,
                "input statistics must match the input width");
     in_mean_ = std::move(mean);
     in_std_ = std::move(stddev);
@@ -93,34 +99,33 @@ void BoolGebraModel::standardize_into(nn::ConstMatrixView x,
 }
 
 Matrix BoolGebraModel::forward(nn::ConstMatrixView x, const nn::Csr& csr,
-                               std::size_t batch, bool train,
-                               bg::ThreadPool* pool) {
+                               std::size_t batch, bg::ThreadPool* pool) {
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
     cache_num_nodes_ = csr.num_nodes();
     Matrix owned;  // standardized copy when input stats are active
     nn::ConstMatrixView cur = x;
-    if (cfg_.standardize_inputs && !in_mean_.empty()) {
+    if (!in_mean_.empty()) {
         standardize_into(x, owned);
         cur = owned;
     }
-    Matrix h = convs_[0].forward(cur, csr, batch, train, pool);
-    h = conv_act_[0].forward(h, train);
-    h = conv_drop_[0].forward(h, train, rng_);
+    Matrix h = convs_[0].forward(cur, csr, batch, pool);
+    h = conv_act_[0].forward(h);
+    h = conv_drop_[0].forward(h, rng_);
     for (std::size_t i = 1; i < convs_.size(); ++i) {
-        h = convs_[i].forward(h, csr, batch, train, pool);
-        h = conv_act_[i].forward(h, train);
-        h = conv_drop_[i].forward(h, train, rng_);
+        h = convs_[i].forward(h, csr, batch, pool);
+        h = conv_act_[i].forward(h);
+        h = conv_drop_[i].forward(h, rng_);
     }
     Matrix pooled;
     nn::mean_pool(h, batch, pooled);
-    Matrix y = linears_[0].forward(pooled, train, pool);
-    y = mlp_act0_.forward(y, train);
-    y = bn0_.forward(y, train);
-    y = linears_[1].forward(y, train, pool);
-    y = bn1_.forward(y, train);
-    y = linears_[2].forward(y, train, pool);
-    return out_act_.forward(y, train);
+    Matrix y = linears_[0].forward(pooled, pool);
+    y = mlp_act0_.forward(y);
+    y = bn0_.forward(y);
+    y = linears_[1].forward(y, pool);
+    y = bn1_.forward(y);
+    y = linears_[2].forward(y, pool);
+    return out_act_.forward(y);
 }
 
 Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
@@ -130,7 +135,7 @@ Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
     nn::ConstMatrixView cur = x;
-    if (cfg_.standardize_inputs && !in_mean_.empty()) {
+    if (!in_mean_.empty()) {
         standardize_into(x, scratch.standardized);
         cur = scratch.standardized;
     }
@@ -216,55 +221,27 @@ std::size_t BoolGebraModel::num_parameters() {
 std::vector<double> BoolGebraModel::predict(
     const Dataset& ds, std::span<const std::size_t> indices,
     std::size_t batch_size, bg::ThreadPool* pool) const {
-    const std::size_t n = ds.num_nodes();
-    return predict_gathered(
-        ds.csr(), n, indices.size(), batch_size, pool,
-        [&](std::size_t s) -> std::span<const float> {
-            return ds.samples()[indices[s]].features;
-        });
-}
-
-std::vector<double> BoolGebraModel::predict_features(
-    const nn::Csr& csr, std::size_t num_nodes,
-    std::span<const std::vector<float>> feature_rows,
-    std::size_t batch_size, bg::ThreadPool* pool) const {
-    return predict_gathered(
-        csr, num_nodes, feature_rows.size(), batch_size, pool,
-        [&](std::size_t s) -> std::span<const float> {
-            return feature_rows[s];
-        });
-}
-
-std::vector<double> BoolGebraModel::predict_gathered(
-    const nn::Csr& csr, std::size_t num_nodes, std::size_t total,
-    std::size_t batch_size, bg::ThreadPool* pool,
-    const std::function<std::span<const float>(std::size_t)>& sample_row)
-    const {
-    // Scattered per-sample rows must be gathered into contiguous storage
-    // once; doing it one batch_size chunk at a time keeps peak temporary
-    // memory bounded by batch_size samples.  Each gathered chunk then runs
-    // through the shared zero-copy batching path.
+    // Each sample's rows are their own vector: gathering one batch_size
+    // chunk at a time keeps peak temporary memory bounded by batch_size
+    // samples, and each chunk runs through the zero-copy batching path.
     BG_EXPECTS(batch_size > 0, "predict batch size must be positive");
+    const std::size_t n = ds.num_nodes();
+    const std::size_t total = indices.size();
     std::vector<double> out;
     out.reserve(total);
-    Matrix stacked(std::min(batch_size, total) * num_nodes,
-                   static_cast<std::size_t>(cfg_.in_dim));
+    Matrix stacked(std::min(batch_size, total) * n, kInDim);
     for (std::size_t start = 0; start < total; start += batch_size) {
         const std::size_t b = std::min(batch_size, total - start);
         for (std::size_t s = 0; s < b; ++s) {
-            const std::span<const float> feats = sample_row(start + s);
-            BG_ASSERT(feats.size() ==
-                          num_nodes * static_cast<std::size_t>(cfg_.in_dim),
+            const auto& feats = ds.samples()[indices[start + s]].features;
+            BG_ASSERT(feats.size() == n * kInDim,
                       "sample feature width mismatch");
-            std::copy(feats.begin(), feats.end(),
-                      stacked.row(s * num_nodes));
+            std::copy(feats.begin(), feats.end(), stacked.row(s * n));
         }
-        for (const double p :
-             predict_batch(csr, num_nodes,
-                           stacked.rows_view(0, b * num_nodes), batch_size,
-                           pool)) {
-            out.push_back(p);
-        }
+        const auto chunk =
+            predict_batch_head(ds.csr(), n, stacked.rows_view(0, b * n), 0,
+                               batch_size, pool);
+        out.insert(out.end(), chunk.begin(), chunk.end());
     }
     return out;
 }
@@ -275,7 +252,7 @@ std::vector<double> BoolGebraModel::predict_batch_scored(
     const std::function<double(const Matrix&, std::size_t)>& score) const {
     BG_EXPECTS(num_nodes > 0 && stacked.rows() % num_nodes == 0,
                "stacked feature rows must be a whole number of samples");
-    BG_EXPECTS(stacked.cols() == static_cast<std::size_t>(cfg_.in_dim),
+    BG_EXPECTS(stacked.cols() == kInDim,
                "stacked feature width mismatch");
     BG_EXPECTS(batch_size > 0, "predict batch size must be positive");
     const std::size_t total = stacked.rows() / num_nodes;
@@ -294,14 +271,6 @@ std::vector<double> BoolGebraModel::predict_batch_scored(
         }
     }
     return out;
-}
-
-std::vector<double> BoolGebraModel::predict_batch(const nn::Csr& csr,
-                                                  std::size_t num_nodes,
-                                                  nn::ConstMatrixView stacked,
-                                                  std::size_t batch_size,
-                                                  bg::ThreadPool* pool) const {
-    return predict_batch_head(csr, num_nodes, stacked, 0, batch_size, pool);
 }
 
 std::vector<double> BoolGebraModel::predict_batch_head(
@@ -441,8 +410,7 @@ void BoolGebraModel::load(const std::filesystem::path& path) {
     }
     std::uint64_t stats_len = 0;
     in.read(reinterpret_cast<char*>(&stats_len), sizeof stats_len);
-    if (!in || (stats_len != 0 &&
-                stats_len != static_cast<std::uint64_t>(cfg_.in_dim))) {
+    if (!in || (stats_len != 0 && stats_len != kInDim)) {
         throw std::runtime_error(
             "model file input-stats width does not match: " + path.string());
     }

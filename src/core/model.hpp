@@ -17,6 +17,11 @@
 /// per configured MetricHead (size / depth / mapped-LUT), sharing the
 /// SAGE trunk and MLP — the default single size head reproduces the
 /// paper's (and the pre-multi-head code's) output bit for bit.
+///
+/// `forward()` is the training pass (backward caches, dropout, batch-norm
+/// running statistics).  The const `forward_eval()` is the only
+/// evaluation pass: the trainer's losses, predict() and the flows'
+/// predict_batch_head/_blend all run it.
 
 #include <cstdint>
 #include <filesystem>
@@ -35,18 +40,12 @@ namespace bg::core {
 
 class Dataset;  // dataset.hpp
 
+/// The input width is always feature_dim (the 12 node-feature columns).
 struct ModelConfig {
-    int in_dim = feature_dim;
     std::vector<int> sage_dims = {512, 512, 64};
     std::vector<int> mlp_dims = {1000, 200, 1};
     float dropout = 0.1F;
     std::uint64_t seed = 0xB001;
-    /// Standardize input columns with dataset statistics before the first
-    /// convolution.  The paper feeds raw features (PI rows are -99) and
-    /// trains at lr 8e-7; CPU-quick training uses a ~1000x larger rate,
-    /// where the raw -99 scale destabilizes BatchNorm.  Identity until
-    /// set_input_stats() is called (the trainer does it automatically).
-    bool standardize_inputs = true;
 
     /// Output heads sharing the SAGE trunk and MLP: the final linear layer
     /// is `heads.size()` wide and every head gets its own sigmoid-squashed
@@ -93,21 +92,22 @@ public:
     /// (or trained) with it.
     std::optional<std::size_t> head_index(MetricHead head) const;
 
-    /// Forward pass for a batch of samples over one graph.
-    /// `x` is a (B * N, in_dim) row-major view (zero-copy panels of a
-    /// larger stacked matrix work); returns (B, num_heads()) with one
-    /// column per configured head.  `pool` (optional) shards the GEMM row
-    /// panels without changing any output bit.
+    /// Training pass for a batch of samples over one graph: caches what
+    /// backward() needs, draws dropout masks and updates the batch-norm
+    /// running statistics.  `x` is a (B * N, feature_dim) row-major view
+    /// (zero-copy panels of a larger stacked matrix work); returns
+    /// (B, num_heads()) with one column per configured head.  `pool`
+    /// (optional) shards the GEMM row panels without changing any output
+    /// bit.
     nn::Matrix forward(nn::ConstMatrixView x, const nn::Csr& csr,
-                       std::size_t batch, bool train,
-                       bg::ThreadPool* pool = nullptr);
+                       std::size_t batch, bg::ThreadPool* pool = nullptr);
 
-    /// Genuinely const eval-mode forward: bit-identical to
-    /// forward(x, ..., /*train=*/false) but never touches the layer
-    /// backward caches, so one model instance serves concurrent inference
-    /// (the FlowService shares shared_ptr<const BoolGebraModel> snapshots
-    /// across in-flight jobs).  `scratch` holds the per-thread temporaries
-    /// — reuse one instance per thread across calls, never share it.
+    /// The evaluation pass: same input and output as forward(), skips
+    /// dropout and never touches the layer backward caches, so one model
+    /// instance serves concurrent inference (the FlowService shares
+    /// shared_ptr<const BoolGebraModel> snapshots across in-flight jobs).
+    /// `scratch` holds the per-thread temporaries — reuse one instance
+    /// per thread across calls, never share it.
     nn::Matrix forward_eval(nn::ConstMatrixView x, const nn::Csr& csr,
                             std::size_t batch, nn::EvalScratch& scratch,
                             bg::ThreadPool* pool = nullptr) const;
@@ -119,8 +119,12 @@ public:
     std::vector<nn::ParamRef> params();
     std::size_t num_parameters();
 
-    /// Per-column input statistics used when cfg.standardize_inputs is on
-    /// (persisted by save()/load()).
+    /// Per-column input statistics (persisted by save()/load()); once set,
+    /// both forwards standardize their input with them before the first
+    /// convolution.  The paper feeds raw features (PI rows are -99) and
+    /// trains at lr 8e-7; CPU-quick training uses a ~1000x larger rate,
+    /// where the raw -99 scale destabilizes BatchNorm.  The trainer fits
+    /// them on the training split.
     void set_input_stats(std::vector<float> mean, std::vector<float> stddev);
     const std::vector<float>& input_mean() const { return in_mean_; }
     const std::vector<float>& input_std() const { return in_std_; }
@@ -128,38 +132,24 @@ public:
     /// Default samples-per-forward chunk for the predict helpers.
     static constexpr std::size_t kPredictBatch = 64;
 
-    /// Convenience inference: predictions for selected dataset samples.
-    /// Gathers the samples into one stacked matrix and delegates to
-    /// predict_batch.
+    /// Convenience inference: the first head's predictions (the size head
+    /// on every canonical config) for selected dataset samples.  Gathers
+    /// `batch_size` samples at a time into one reused stacked matrix
+    /// (bounded peak memory) and scores each chunk with
+    /// predict_batch_head(..., 0, ...).
     std::vector<double> predict(const Dataset& ds,
                                 std::span<const std::size_t> indices,
                                 std::size_t batch_size = kPredictBatch,
                                 bg::ThreadPool* pool = nullptr) const;
-    /// Same for per-sample feature vectors scattered across `feature_rows`
-    /// (one gather copy, then the shared view-based batching path).
-    std::vector<double> predict_features(
-        const nn::Csr& csr, std::size_t num_nodes,
-        std::span<const std::vector<float>> feature_rows,
-        std::size_t batch_size = kPredictBatch,
-        bg::ThreadPool* pool = nullptr) const;
 
-    /// Batched inference over a pre-stacked feature matrix: `stacked` is
-    /// (B * num_nodes, in_dim) row-major with each sample's node block
-    /// contiguous.  Chunks of `batch_size` samples go through
-    /// forward_eval() as zero-copy row-panel views; results are identical
-    /// to per-sample inference.  Const and cache-free: safe to call
-    /// concurrently from many threads on one shared model.  Returns the
-    /// first head's column (the size head on every canonical config) —
-    /// exactly the single-head behavior.
-    std::vector<double> predict_batch(const nn::Csr& csr,
-                                      std::size_t num_nodes,
-                                      nn::ConstMatrixView stacked,
-                                      std::size_t batch_size = kPredictBatch,
-                                      bg::ThreadPool* pool = nullptr) const;
-
-    /// Same batched inference, returning the column of head `head`
-    /// (an index into heads(); resolve metrics with head_index()).  With
-    /// head 0 this is predict_batch bit for bit.
+    /// Batched inference over a pre-stacked feature matrix, returning the
+    /// column of head `head` (an index into heads(); resolve metrics with
+    /// head_index()).  `stacked` is (B * num_nodes, feature_dim) row-major
+    /// with each sample's node block contiguous.  Chunks of `batch_size`
+    /// samples go through forward_eval() as zero-copy row-panel views;
+    /// results are identical to per-sample inference.  Const and
+    /// cache-free: safe to call concurrently from many threads on one
+    /// shared model.
     std::vector<double> predict_batch_head(
         const nn::Csr& csr, std::size_t num_nodes,
         nn::ConstMatrixView stacked, std::size_t head,
@@ -186,7 +176,7 @@ public:
     void load(const std::filesystem::path& path);
 
 private:
-    /// Shared predict_batch/_head/_blend driver: `score` maps one row of
+    /// Shared predict_batch_head/_blend driver: `score` maps one row of
     /// the (b, num_heads) forward output to the sample's scalar score.
     std::vector<double> predict_batch_scored(
         const nn::Csr& csr, std::size_t num_nodes,
@@ -196,14 +186,6 @@ private:
         const;
     /// Standardize `x` into `y`, reusing y's storage when already sized.
     void standardize_into(nn::ConstMatrixView x, nn::Matrix& y) const;
-    /// Shared chunked-gather path behind predict()/predict_features():
-    /// copies batch_size samples at a time into one reused stacked matrix
-    /// (bounded peak memory) and runs predict_batch on each chunk view.
-    std::vector<double> predict_gathered(
-        const nn::Csr& csr, std::size_t num_nodes, std::size_t total,
-        std::size_t batch_size, bg::ThreadPool* pool,
-        const std::function<std::span<const float>(std::size_t)>& sample_row)
-        const;
 
     ModelConfig cfg_;
     bg::Rng rng_;  ///< drives dropout masks
@@ -225,8 +207,8 @@ private:
 /// load it: a legacy v1 file ("BGMODEL2") loads as a single size head —
 /// size-only, whatever `base.heads` says — and a v2 file ("BGMODEL3")
 /// restores its recorded head list.  `base` supplies everything else
-/// (trunk/MLP widths, standardization flag); its `heads` field is
-/// overwritten by the file's.
+/// (trunk/MLP widths, dropout, seed); its `heads` field is overwritten by
+/// the file's.
 BoolGebraModel load_checkpoint(const std::filesystem::path& path,
                                ModelConfig base);
 

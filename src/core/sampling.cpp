@@ -1,5 +1,7 @@
 #include "core/sampling.hpp"
 
+#include <span>
+
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
 
@@ -95,6 +97,43 @@ SampleRecord evaluate_decisions(const Aig& design, DecisionVector decisions,
 
 namespace {
 
+/// Mutation fractions for the guided mutants.  The flow cycles evenly
+/// through the paper's 10%..90% range; the sample generators weight
+/// toward small mutations so the batch stays anchored near the guided
+/// base (that anchoring is what shifts the Fig 2 distribution left).
+constexpr double kFlowFractions[] = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                     0.6, 0.7, 0.8, 0.9};
+constexpr double kSampleFractions[] = {0.1, 0.1, 0.2, 0.2, 0.3, 0.3,
+                                       0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+
+/// The one decision sampler, drawing everything from Rng(seed) in sample
+/// order: n random vectors when `guided_by` is null, else the
+/// priority-guided base followed by mutants of it whose fractions cycle
+/// through `fractions`.
+std::vector<DecisionVector> draw_decisions(const Aig& design, std::size_t n,
+                                           std::uint64_t seed,
+                                           const StaticFeatures* guided_by,
+                                           std::span<const double> fractions) {
+    bg::Rng rng(seed);
+    std::vector<DecisionVector> out;
+    out.reserve(n);
+    if (guided_by == nullptr) {
+        for (std::size_t i = 0; i < n; ++i) {
+            out.push_back(random_decisions(design, rng));
+        }
+        return out;
+    }
+    const DecisionVector base = priority_decisions(design, *guided_by, rng);
+    if (n > 0) {
+        out.push_back(base);
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+        const double frac = fractions[(i - 1) % fractions.size()];
+        out.push_back(mutate_decisions(design, base, frac, rng));
+    }
+    return out;
+}
+
 /// Evaluate a batch of decision vectors on `pool` (inline when null); the
 /// result order matches the input order, so the outcome is deterministic.
 /// When `lut_labels` is set, each record's optimized graph is
@@ -121,49 +160,36 @@ std::vector<SampleRecord> evaluate_batch(
 
 }  // namespace
 
+std::vector<DecisionVector> generate_decisions(const Aig& design,
+                                               std::size_t n, bool guided,
+                                               std::uint64_t seed,
+                                               const StaticFeatures& st) {
+    return draw_decisions(design, n, seed, guided ? &st : nullptr,
+                          kFlowFractions);
+}
+
 std::vector<SampleRecord> generate_random_samples(
     const Aig& design, std::size_t n, std::uint64_t seed,
     const opt::OptParams& params, const opt::LutMapParams* lut_labels,
     ThreadPool* pool) {
-    bg::Rng rng(seed);
-    std::vector<DecisionVector> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(random_decisions(design, rng));
-    }
-    return evaluate_batch(design, std::move(batch), params, lut_labels,
-                          pool);
+    return evaluate_batch(design,
+                          draw_decisions(design, n, seed, nullptr, {}),
+                          params, lut_labels, pool);
 }
 
 std::vector<SampleRecord> generate_guided_samples(
     const Aig& design, std::size_t n, std::uint64_t seed,
     const opt::OptParams& params, const StaticFeatures* precomputed_static,
     const opt::LutMapParams* lut_labels, ThreadPool* pool) {
-    bg::Rng rng(seed);
     StaticFeatures local;
     if (precomputed_static == nullptr) {
         local = compute_static_features(design, params, pool);
         precomputed_static = &local;
     }
-    const DecisionVector base =
-        priority_decisions(design, *precomputed_static, rng);
-
-    std::vector<DecisionVector> batch;
-    batch.reserve(n);
-    if (n > 0) {
-        batch.push_back(base);
-    }
-    // Mutation fractions span the paper's 10%..90% range, weighted toward
-    // small mutations so the batch stays anchored near the guided base
-    // (that anchoring is what shifts the Fig 2 distribution left).
-    static constexpr double fractions[] = {0.1, 0.1, 0.2, 0.2, 0.3, 0.3,
-                                           0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
-    for (std::size_t i = 1; i < n; ++i) {
-        const double frac = fractions[(i - 1) % std::size(fractions)];
-        batch.push_back(mutate_decisions(design, base, frac, rng));
-    }
-    return evaluate_batch(design, std::move(batch), params, lut_labels,
-                          pool);
+    return evaluate_batch(
+        design,
+        draw_decisions(design, n, seed, precomputed_static, kSampleFractions),
+        params, lut_labels, pool);
 }
 
 }  // namespace bg::core

@@ -52,6 +52,14 @@ opt::DecisionVector mutate_decisions(const aig::Aig& g,
                                      const opt::DecisionVector& base,
                                      double fraction, bg::Rng& rng);
 
+/// Generate decision vectors only (no evaluation): the flow's step 1.
+/// Random vectors, or the guided base plus mutants whose fractions cycle
+/// evenly through 10%..90%.  Draws in the same order as the sample
+/// generators below, which differ only in their mutation-fraction table.
+std::vector<opt::DecisionVector> generate_decisions(
+    const aig::Aig& design, std::size_t n, bool guided, std::uint64_t seed,
+    const StaticFeatures& st);
+
 /// Run Algorithm 1 on a copy of `design` and record the outcome.  The
 /// orchestration commits under `objective` (default size, the paper's
 /// behavior); `optimized_out`, when given, receives the optimized copy so
@@ -79,7 +87,8 @@ std::vector<SampleRecord> generate_random_samples(
     ThreadPool* pool = nullptr);
 
 /// N priority-guided samples (Fig 2 "Guided"): the base assignment plus
-/// partial random mutations with fractions cycling through 10%..90%.
+/// partial random mutations with fractions cycling through 10%..90%,
+/// weighted toward small mutations.
 /// `lut_labels` and `pool` work as in generate_random_samples; the pool
 /// also runs the static features when none are precomputed.
 std::vector<SampleRecord> generate_guided_samples(

@@ -8,7 +8,10 @@
 /// mapped-LUT) with a per-sample mask, so datasets missing a
 /// measurement — e.g. records evaluated without LUT mapping — still
 /// train every head they have labels for, and a single-size-head model
-/// trains exactly as before the multi-head extension.
+/// trains exactly as before the multi-head extension.  One loop serves
+/// one design (the paper's design-specific setup) and several (the
+/// cross-design extension); evaluation runs the model's const
+/// forward_eval().
 
 #include <cstdint>
 #include <vector>
@@ -31,8 +34,8 @@ struct TrainConfig {
 
     /// The paper's hyper-parameters (expensive on CPU).
     static TrainConfig paper() { return {}; }
-    /// CPU-quick settings: fewer epochs, workable learning rate (requires
-    /// ModelConfig::standardize_inputs, the default).
+    /// CPU-quick settings: fewer epochs, workable learning rate (relies on
+    /// the input standardization train_model fits).
     static TrainConfig quick() {
         TrainConfig c;
         c.epochs = 60;
@@ -52,40 +55,44 @@ struct EpochStats {
 };
 
 struct TrainResult {
-    std::vector<EpochStats> history;
+    std::vector<EpochStats> history;  ///< test loss averaged over datasets
     double final_train_loss = 0.0;
     double final_test_loss = 0.0;
-    Dataset::Split split;  ///< indices used for train / test
+    /// Train / test indices, one split per dataset in dataset order
+    /// (dataset d splits with cfg.seed + d).
+    std::vector<Dataset::Split> splits;
+    /// Final test loss per dataset, in dataset order.
+    std::vector<double> per_design_test;
 };
 
-/// Train `model` on `ds`; deterministic given the seeds in the configs.
+/// Train `model` on one or more designs; deterministic given the seeds in
+/// the configs.  The input standardization is fitted on the union of the
+/// training splits.  Every epoch walks the datasets in a shuffled order,
+/// drawing same-design mini-batches (one graph per batch is a GraphSAGE
+/// requirement); the recorded test loss is the average across the
+/// designs' test splits.  Several designs are an extension beyond the
+/// paper's single-design setup, in the direction its conclusion sketches.
+/// Throws ContractViolation for a config that would train nothing or
+/// divide by zero: batch_size < 2 (batch norm needs two rows, so every
+/// batch would be skipped), eval_every == 0 or decay_every == 0.
+TrainResult train_model(BoolGebraModel& model,
+                        std::span<const Dataset* const> datasets,
+                        const TrainConfig& cfg = TrainConfig::quick());
+
+/// The one-design form: train_model over {&ds}.
 TrainResult train_model(BoolGebraModel& model, const Dataset& ds,
                         const TrainConfig& cfg = TrainConfig::quick());
 
-/// Multi-design training (an extension beyond the paper's single-design
-/// setup, in the direction its conclusion sketches): every epoch walks all
-/// datasets, drawing same-design mini-batches (one graph per batch is a
-/// GraphSAGE requirement).  The recorded test loss is the average across
-/// the designs' test splits.
-struct MultiTrainResult {
-    TrainResult combined;                ///< averaged history
-    std::vector<double> per_design_test;  ///< final test loss per dataset
-};
-MultiTrainResult train_model_multi(BoolGebraModel& model,
-                                   std::span<const Dataset* const> datasets,
-                                   const TrainConfig& cfg =
-                                       TrainConfig::quick());
-
 /// Evaluate masked MSE of `model` on the given sample indices (averaged
 /// over every labelled head entry).
-double evaluate_loss(BoolGebraModel& model, const Dataset& ds,
+double evaluate_loss(const BoolGebraModel& model, const Dataset& ds,
                      std::span<const std::size_t> indices,
                      std::size_t batch_size = 64);
 
 /// Per-head masked MSE on the given sample indices, in the model's head
 /// order (0 for heads the dataset never labels).
 std::vector<double> evaluate_head_losses(
-    BoolGebraModel& model, const Dataset& ds,
+    const BoolGebraModel& model, const Dataset& ds,
     std::span<const std::size_t> indices, std::size_t batch_size = 64);
 
 }  // namespace bg::core

@@ -17,8 +17,8 @@ Linear::Linear(std::size_t in, std::size_t out, bg::Rng& rng)
       gw_(in, out),
       gb_(out, 0.0F) {}
 
-Matrix Linear::forward(ConstMatrixView x, bool train, bg::ThreadPool* pool) {
-    cache_x_ = train ? Matrix(x) : Matrix();
+Matrix Linear::forward(ConstMatrixView x, bg::ThreadPool* pool) {
+    cache_x_ = Matrix(x);
     return forward_eval(x, pool);
 }
 
@@ -32,7 +32,7 @@ Matrix Linear::forward_eval(ConstMatrixView x, bg::ThreadPool* pool) const {
 
 Matrix Linear::backward(const Matrix& dy) {
     BG_EXPECTS(!cache_x_.empty() && dy.rows() == cache_x_.rows(),
-               "linear backward needs a train-mode forward");
+               "linear backward needs a forward first");
     Matrix gw_batch;
     matmul_tn(cache_x_, dy, gw_batch);
     for (std::size_t i = 0; i < gw_.size(); ++i) {
@@ -60,8 +60,8 @@ std::vector<ParamRef> Linear::params() {
 // ReLU6
 // ---------------------------------------------------------------------------
 
-Matrix ReLU6::forward(const Matrix& x, bool train) {
-    cache_x_ = train ? x : Matrix();
+Matrix ReLU6::forward(const Matrix& x) {
+    cache_x_ = x;
     return forward_eval(x);
 }
 
@@ -88,9 +88,9 @@ Matrix ReLU6::backward(const Matrix& dy) {
 // Sigmoid
 // ---------------------------------------------------------------------------
 
-Matrix Sigmoid::forward(const Matrix& x, bool train) {
+Matrix Sigmoid::forward(const Matrix& x) {
     Matrix y = forward_eval(x);
-    cache_y_ = train ? y : Matrix();
+    cache_y_ = y;
     return y;
 }
 
@@ -115,10 +115,8 @@ Matrix Sigmoid::backward(const Matrix& dy) {
 // Dropout
 // ---------------------------------------------------------------------------
 
-Matrix Dropout::forward(const Matrix& x, bool train, bg::Rng& rng) {
-    last_train_ = train && rate_ > 0.0F;
-    if (!last_train_) {
-        mask_.clear();
+Matrix Dropout::forward(const Matrix& x, bg::Rng& rng) {
+    if (rate_ <= 0.0F) {
         return x;
     }
     const float keep = 1.0F - rate_;
@@ -137,7 +135,7 @@ Matrix Dropout::forward(const Matrix& x, bool train, bg::Rng& rng) {
 }
 
 Matrix Dropout::backward(const Matrix& dy) {
-    if (!last_train_) {
+    if (rate_ <= 0.0F) {
         return dy;
     }
     BG_EXPECTS(dy.size() == mask_.size(), "dropout backward shape mismatch");
@@ -187,11 +185,11 @@ void BatchNorm1d::batch_stats(const Matrix& x, std::vector<float>& mean,
     }
 }
 
-Matrix BatchNorm1d::forward(const Matrix& x, bool train) {
-    if (!train || x.rows() == 1) {
-        // Eval, or a degenerate single-row train batch (backward then
-        // requires a fresh multi-row forward): no cache, no running-stat
-        // update — same bits as the const path.
+Matrix BatchNorm1d::forward(const Matrix& x) {
+    if (x.rows() == 1) {
+        // A degenerate single-row batch (backward then requires a fresh
+        // multi-row forward): no cache, no running-stat update — same bits
+        // as the const path.
         cache_xhat_ = Matrix();
         cache_inv_std_.clear();
         return forward_eval(x);
@@ -257,7 +255,7 @@ Matrix BatchNorm1d::forward_eval(const Matrix& x) const {
 
 Matrix BatchNorm1d::backward(const Matrix& dy) {
     BG_EXPECTS(!cache_xhat_.empty(),
-               "batchnorm backward requires a train-mode forward");
+               "batchnorm backward requires a multi-row forward");
     const std::size_t n = dy.rows();
     const std::size_t d = dy.cols();
     // Standard batch-norm gradient.

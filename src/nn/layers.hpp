@@ -3,19 +3,18 @@
 /// \file layers.hpp
 /// The dense layers of the BoolGebra predictor (Fig 3g): Linear, ReLU6,
 /// Sigmoid, Dropout and BatchNorm1d, each with explicit forward/backward.
-/// Layers cache what backward needs — only when forward runs in train
-/// mode; eval-mode forward skips the cache copies entirely, which keeps
-/// the inference hot path allocation-light.  Inputs are taken as
-/// ConstMatrixView so batched callers can pass zero-copy row panels.  The
-/// training loop is single-threaded by design (one model instance per
-/// thread if parallelism is wanted); the optional `pool` shards the GEMM
-/// row panels without changing a single output bit.
+/// `forward()` is the training pass: it caches what backward needs, draws
+/// dropout masks and updates batch-norm running statistics.  Inputs are
+/// taken as ConstMatrixView so batched callers can pass zero-copy row
+/// panels.  The training loop is single-threaded by design (one model
+/// instance per thread if parallelism is wanted); the optional `pool`
+/// shards the GEMM row panels without changing a single output bit.
 ///
-/// Every layer also exposes a `forward_eval()` that is genuinely `const`:
-/// it computes the same bits as `forward(x, /*train=*/false)` but never
-/// touches the backward caches, so one model instance can serve
+/// `forward_eval()` is the only evaluation pass.  It is genuinely `const`
+/// and never touches the backward caches, so one model instance can serve
 /// concurrent inference (the FlowService shares a
-/// `shared_ptr<const BoolGebraModel>` across jobs).  Per-thread
+/// `shared_ptr<const BoolGebraModel>` across jobs).  Dropout has none: it
+/// is the identity at evaluation time, and the model skips it.  Per-thread
 /// temporaries live in an EvalScratch the caller threads through.
 
 #include "nn/matrix.hpp"
@@ -45,11 +44,9 @@ class Linear {
 public:
     Linear(std::size_t in, std::size_t out, bg::Rng& rng);
 
-    /// `train` = false skips the input cache (backward then requires a new
-    /// train-mode forward first).
-    Matrix forward(ConstMatrixView x, bool train = true,
-                   bg::ThreadPool* pool = nullptr);
-    /// Same bits as forward(x, false) without touching any member.
+    /// Training pass: caches the input for backward.
+    Matrix forward(ConstMatrixView x, bg::ThreadPool* pool = nullptr);
+    /// Same output bits as forward() without touching any member.
     Matrix forward_eval(ConstMatrixView x,
                         bg::ThreadPool* pool = nullptr) const;
     /// Accumulates parameter gradients, returns dL/dx.
@@ -74,7 +71,7 @@ private:
 /// min(max(x, 0), 6) — the paper's activation.
 class ReLU6 {
 public:
-    Matrix forward(const Matrix& x, bool train = true);
+    Matrix forward(const Matrix& x);
     /// In-place clamp of the (by-value) input; stateless.
     Matrix forward_eval(Matrix x) const;
     Matrix backward(const Matrix& dy);
@@ -85,7 +82,7 @@ private:
 
 class Sigmoid {
 public:
-    Matrix forward(const Matrix& x, bool train = true);
+    Matrix forward(const Matrix& x);
     /// In-place logistic of the (by-value) input; stateless.
     Matrix forward_eval(Matrix x) const;
     Matrix backward(const Matrix& dy);
@@ -94,12 +91,13 @@ private:
     Matrix cache_y_;
 };
 
-/// Inverted dropout: scales by 1/(1-rate) at train time, identity at eval.
+/// Inverted dropout: scales kept elements by 1/(1-rate).  A rate of 0 is
+/// the identity; evaluation skips the layer.
 class Dropout {
 public:
     explicit Dropout(float rate) : rate_(rate) {}
 
-    Matrix forward(const Matrix& x, bool train, bg::Rng& rng);
+    Matrix forward(const Matrix& x, bg::Rng& rng);
     Matrix backward(const Matrix& dy);
 
     float rate() const { return rate_; }
@@ -107,7 +105,6 @@ public:
 private:
     float rate_;
     std::vector<float> mask_;  // per element, 0 or 1/(1-rate)
-    bool last_train_ = false;
 };
 
 class BatchNorm1d {
@@ -115,9 +112,11 @@ public:
     explicit BatchNorm1d(std::size_t dim, float momentum = 0.1F,
                          float eps = 1e-5F);
 
-    Matrix forward(const Matrix& x, bool train);
-    /// Same bits as forward(x, false) — running statistics for a single
-    /// row, batch statistics otherwise — without touching any member.
+    /// Training pass on batch statistics.  A single-row batch falls back
+    /// to forward_eval() (no cache, no running-statistics update).
+    Matrix forward(const Matrix& x);
+    /// Running statistics for a single row, batch statistics otherwise;
+    /// touches no member.
     Matrix forward_eval(const Matrix& x) const;
     Matrix backward(const Matrix& dy);
 
@@ -127,8 +126,8 @@ public:
     std::size_t dim() const { return gamma_.size(); }
 
 private:
-    /// Per-column batch mean/variance, shared by the train and eval
-    /// forwards so their arithmetic cannot drift apart.
+    /// Per-column batch mean/variance, shared by forward() and
+    /// forward_eval() so their arithmetic cannot drift apart.
     void batch_stats(const Matrix& x, std::vector<float>& mean,
                      std::vector<float>& var) const;
 
@@ -140,7 +139,7 @@ private:
     std::vector<float> running_var_;
     float momentum_;
     float eps_;
-    // Backward caches (train mode).
+    // Backward caches, filled by forward().
     Matrix cache_xhat_;
     std::vector<float> cache_inv_std_;
 };

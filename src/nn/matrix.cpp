@@ -261,74 +261,6 @@ void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c,
     gemm_accumulate(a, bt, c.view(), pool);
 }
 
-// ---------------------------------------------------------------------------
-// Naive reference kernels (the seed's triple loops, view-ified)
-// ---------------------------------------------------------------------------
-
-void matmul_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
-    BG_EXPECTS(a.cols() == b.rows(), "matmul shape mismatch");
-    c = Matrix(a.rows(), b.cols());
-    const std::size_t n = a.rows();
-    const std::size_t k = a.cols();
-    const std::size_t m = b.cols();
-    for (std::size_t i = 0; i < n; ++i) {
-        float* ci = c.row(i);
-        const float* ai = a.row(i);
-        for (std::size_t p = 0; p < k; ++p) {
-            const float av = ai[p];
-            if (av == 0.0F) {
-                continue;
-            }
-            const float* bp = b.row(p);
-            for (std::size_t j = 0; j < m; ++j) {
-                ci[j] += av * bp[j];
-            }
-        }
-    }
-}
-
-void matmul_tn_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
-    BG_EXPECTS(a.rows() == b.rows(), "matmul_tn shape mismatch");
-    c = Matrix(a.cols(), b.cols());
-    const std::size_t n = a.rows();
-    const std::size_t k = a.cols();
-    const std::size_t m = b.cols();
-    for (std::size_t r = 0; r < n; ++r) {
-        const float* ar = a.row(r);
-        const float* br = b.row(r);
-        for (std::size_t i = 0; i < k; ++i) {
-            const float av = ar[i];
-            if (av == 0.0F) {
-                continue;
-            }
-            float* ci = c.row(i);
-            for (std::size_t j = 0; j < m; ++j) {
-                ci[j] += av * br[j];
-            }
-        }
-    }
-}
-
-void matmul_nt_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
-    BG_EXPECTS(a.cols() == b.cols(), "matmul_nt shape mismatch");
-    c = Matrix(a.rows(), b.rows());
-    const std::size_t n = a.rows();
-    const std::size_t k = a.cols();
-    const std::size_t m = b.rows();
-    for (std::size_t i = 0; i < n; ++i) {
-        const float* ai = a.row(i);
-        float* ci = c.row(i);
-        for (std::size_t j = 0; j < m; ++j) {
-            const float* bj = b.row(j);
-            float acc = 0.0F;
-            for (std::size_t p = 0; p < k; ++p) {
-                acc += ai[p] * bj[p];
-            }
-            ci[j] = acc;
-        }
-    }
-}
-
 void add_row_bias(MatrixView y, std::span<const float> bias) {
     BG_EXPECTS(bias.size() == y.cols(), "bias width mismatch");
     for (std::size_t i = 0; i < y.rows(); ++i) {

@@ -140,8 +140,8 @@ public:
 
     MatrixView view() { return {data_.data(), rows_, cols_, cols_}; }
     ConstMatrixView view() const { return {data_.data(), rows_, cols_, cols_}; }
-    /// Zero-copy panel of whole rows (the FlowEngine/predict_batch chunking
-    /// primitive).
+    /// Zero-copy panel of whole rows (the FlowEngine/predict_batch_head
+    /// chunking primitive).
     MatrixView rows_view(std::size_t start, std::size_t count) {
         return view().rows_view(start, count);
     }
@@ -177,12 +177,6 @@ void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c,
 /// C += A * B into an existing correctly-shaped destination view.
 void gemm_accumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                      bg::ThreadPool* pool = nullptr);
-
-/// The seed's triple-loop kernels, kept as the parity and benchmark
-/// baseline (tests assert the blocked kernels match them bit-for-bit).
-void matmul_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c);
-void matmul_tn_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c);
-void matmul_nt_naive(ConstMatrixView a, ConstMatrixView b, Matrix& c);
 
 /// Y += bias broadcast over rows.
 void add_row_bias(MatrixView y, std::span<const float> bias);

@@ -184,21 +184,13 @@ SageConv::SageConv(std::size_t in, std::size_t out, bg::Rng& rng)
       gb_(out, 0.0F) {}
 
 Matrix SageConv::forward(ConstMatrixView x, const Csr& csr,
-                         std::size_t batch, bool train,
-                         bg::ThreadPool* pool) {
+                         std::size_t batch, bg::ThreadPool* pool) {
     Matrix agg;  // aggregated neighbors
     Matrix y = forward_eval(x, csr, batch, agg, pool);
-    if (train) {
-        cache_x_ = Matrix(x);
-        cache_h_ = std::move(agg);
-        csr_ = &csr;
-        batch_ = batch;
-    } else {
-        cache_x_ = Matrix();
-        cache_h_ = Matrix();
-        csr_ = nullptr;
-        batch_ = 0;
-    }
+    cache_x_ = Matrix(x);
+    cache_h_ = std::move(agg);
+    csr_ = &csr;
+    batch_ = batch;
     return y;
 }
 

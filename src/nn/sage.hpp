@@ -4,7 +4,9 @@
 /// GraphSAGE convolution with mean aggregation (Hamilton et al., NeurIPS
 /// 2017) — the paper's graph encoder.  One design means one fixed graph,
 /// so a batch of B samples shares a single CSR adjacency and stacks node
-/// features as B consecutive blocks of N rows.
+/// features as B consecutive blocks of N rows.  As in layers.hpp,
+/// `forward()` is the training pass and the const `forward_eval()` the
+/// only evaluation pass.
 
 #include <cstdint>
 #include <vector>
@@ -37,14 +39,14 @@ class SageConv {
 public:
     SageConv(std::size_t in, std::size_t out, bg::Rng& rng);
 
-    /// `x` is (B*N, in); the same CSR applies to each of the B blocks.
-    /// `train` = false skips the backward caches; `pool` shards the GEMM
-    /// row panels bit-stably.
+    /// Training pass: `x` is (B*N, in); the same CSR applies to each of
+    /// the B blocks.  Caches the input and the aggregation for backward;
+    /// `pool` shards the GEMM row panels bit-stably.
     Matrix forward(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                   bool train = true, bg::ThreadPool* pool = nullptr);
-    /// Same bits as forward(x, ..., false) without touching any member;
-    /// the neighbor aggregation reuses `agg` (one scratch buffer per
-    /// layer per thread, see EvalScratch).
+                   bg::ThreadPool* pool = nullptr);
+    /// Same output bits as forward() without touching any member; the
+    /// neighbor aggregation reuses `agg` (one scratch buffer per layer per
+    /// thread, see EvalScratch).
     Matrix forward_eval(ConstMatrixView x, const Csr& csr,
                         std::size_t batch, Matrix& agg,
                         bg::ThreadPool* pool = nullptr) const;

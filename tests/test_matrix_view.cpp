@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "naive_gemm.hpp"
 #include "nn/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -154,7 +155,7 @@ TEST(BlockedGemm, MatmulMatchesNaiveBitExact) {
         const Matrix a = random_matrix(s.n, s.k, rng);
         const Matrix b = random_matrix(s.k, s.m, rng);
         Matrix ref;
-        bg::nn::matmul_naive(a, b, ref);
+        bg::test::matmul_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul(a, b, out);
         expect_bit_equal(ref, out);
@@ -167,7 +168,7 @@ TEST(BlockedGemm, MatmulTnMatchesNaiveBitExact) {
         const Matrix a = random_matrix(s.k, s.n, rng);  // A^T is n x k
         const Matrix b = random_matrix(s.k, s.m, rng);
         Matrix ref;
-        bg::nn::matmul_tn_naive(a, b, ref);
+        bg::test::matmul_tn_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul_tn(a, b, out);
         expect_bit_equal(ref, out);
@@ -180,7 +181,7 @@ TEST(BlockedGemm, MatmulNtMatchesNaiveBitExact) {
         const Matrix a = random_matrix(s.n, s.k, rng);
         const Matrix b = random_matrix(s.m, s.k, rng);  // B^T is k x m
         Matrix ref;
-        bg::nn::matmul_nt_naive(a, b, ref);
+        bg::test::matmul_nt_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul_nt(a, b, out);
         expect_bit_equal(ref, out);
@@ -204,7 +205,7 @@ TEST(BlockedGemm, SparseInputsWithZeroRows) {
     }
     const Matrix b = random_matrix(29, 23, rng);
     Matrix ref;
-    bg::nn::matmul_naive(a, b, ref);
+    bg::test::matmul_naive(a, b, ref);
     Matrix out;
     bg::nn::matmul(a, b, out);
     expect_bit_equal(ref, out);

@@ -7,6 +7,7 @@
 #include "core/model.hpp"
 #include "core/sampling.hpp"
 #include "core/trainer.hpp"
+#include "util/contracts.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -48,6 +49,15 @@ TEST(Model, DeterministicInference) {
     std::vector<std::size_t> idx{0, 1, 2, 3};
     EXPECT_EQ(a.predict(ds, idx), b.predict(ds, idx))
         << "same seed must give identical weights and predictions";
+
+    // Evaluation skips dropout: a dropout model predicts exactly what the
+    // same weights without dropout do, every time.
+    ModelConfig with_dropout = tiny_config();
+    with_dropout.dropout = 0.5F;
+    const BoolGebraModel c(with_dropout);
+    const auto first = c.predict(ds, idx);
+    EXPECT_EQ(first, a.predict(ds, idx));
+    EXPECT_EQ(c.predict(ds, idx), first);
 }
 
 TEST(Model, ParameterCountMatchesArchitecture) {
@@ -65,7 +75,6 @@ TEST(Model, PaperConfigDimensions) {
     EXPECT_EQ(cfg.sage_dims, (std::vector<int>{512, 512, 64}));
     EXPECT_EQ(cfg.mlp_dims, (std::vector<int>{1000, 200, 1}));
     EXPECT_FLOAT_EQ(cfg.dropout, 0.1F);
-    EXPECT_EQ(cfg.in_dim, feature_dim);
 }
 
 TEST(Model, SaveLoadRoundTrip) {
@@ -181,6 +190,51 @@ TEST(Trainer, DeterministicGivenSeeds) {
         EXPECT_DOUBLE_EQ(r1.history[i].train_loss, r2.history[i].train_loss);
         EXPECT_DOUBLE_EQ(r1.history[i].test_loss, r2.history[i].test_loss);
     }
+
+    // Evaluation must not perturb training: with dropout drawing from the
+    // model's RNG, the trained weights are the same whether the test loss
+    // is recorded every epoch, every other epoch or only at the end.
+    ModelConfig mc = tiny_config();
+    mc.dropout = 0.1F;
+    std::vector<std::size_t> all(ds.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        all[i] = i;
+    }
+    BoolGebraModel reference(mc);
+    (void)train_model(reference, ds, cfg);
+    const auto expected = reference.predict(ds, all);
+    for (const std::size_t every : {std::size_t{1}, cfg.epochs}) {
+        TrainConfig c = cfg;
+        c.eval_every = every;
+        BoolGebraModel m(mc);
+        (void)train_model(m, ds, c);
+        EXPECT_EQ(m.predict(ds, all), expected) << "eval_every " << every;
+    }
+}
+
+// Configs that would train nothing or divide by zero are rejected up front.
+void expect_rejected(const TrainConfig& cfg) {
+    const Dataset ds = tiny_dataset(8, 9);
+    BoolGebraModel model(tiny_config());
+    EXPECT_THROW((void)train_model(model, ds, cfg), bg::ContractViolation);
+}
+
+TEST(Trainer, RejectsBatchSizeBelowTwo) {
+    TrainConfig cfg = TrainConfig::quick();
+    cfg.batch_size = 1;  // every batch would be skipped
+    expect_rejected(cfg);
+}
+
+TEST(Trainer, RejectsZeroEvalEvery) {
+    TrainConfig cfg = TrainConfig::quick();
+    cfg.eval_every = 0;
+    expect_rejected(cfg);
+}
+
+TEST(Trainer, RejectsZeroDecayEvery) {
+    TrainConfig cfg = TrainConfig::quick();
+    cfg.decay_every = 0;
+    expect_rejected(cfg);
 }
 
 }  // namespace

@@ -35,12 +35,16 @@ TEST(MultiTrain, LossDecreasesAcrossDesigns) {
     cfg.epochs = 60;
     cfg.batch_size = 10;
     cfg.eval_every = 10;
-    const auto res = train_model_multi(model, sets, cfg);
-    ASSERT_GE(res.combined.history.size(), 2u);
-    EXPECT_LT(res.combined.final_test_loss,
-              res.combined.history.front().test_loss)
+    const auto res = train_model(model, sets, cfg);
+    ASSERT_GE(res.history.size(), 2u);
+    EXPECT_LT(res.final_test_loss, res.history.front().test_loss)
         << "multi-design training must reduce the averaged test loss";
     ASSERT_EQ(res.per_design_test.size(), 2u);
+    ASSERT_EQ(res.splits.size(), 2u);
+    EXPECT_EQ(res.splits[0].train.size() + res.splits[0].test.size(),
+              d1.size());
+    EXPECT_EQ(res.splits[1].train.size() + res.splits[1].test.size(),
+              d2.size());
 }
 
 TEST(MultiTrain, HandlesDifferentGraphSizes) {
@@ -53,8 +57,8 @@ TEST(MultiTrain, HandlesDifferentGraphSizes) {
     TrainConfig cfg = TrainConfig::quick();
     cfg.epochs = 10;
     cfg.batch_size = 8;
-    const auto res = train_model_multi(model, sets, cfg);
-    EXPECT_GT(res.combined.history.size(), 0u);
+    const auto res = train_model(model, sets, cfg);
+    EXPECT_GT(res.history.size(), 0u);
 }
 
 TEST(MultiTrain, SingleDatasetMatchesShape) {
@@ -64,16 +68,17 @@ TEST(MultiTrain, SingleDatasetMatchesShape) {
     TrainConfig cfg = TrainConfig::quick();
     cfg.epochs = 12;
     cfg.eval_every = 4;
-    const auto res = train_model_multi(model, sets, cfg);
+    const auto res = train_model(model, sets, cfg);
     EXPECT_EQ(res.per_design_test.size(), 1u);
+    EXPECT_EQ(res.splits.size(), 1u);
     // Epochs 0,4,8,11 recorded.
-    EXPECT_EQ(res.combined.history.size(), 4u);
+    EXPECT_EQ(res.history.size(), 4u);
 }
 
 TEST(MultiTrain, EmptyInputThrows) {
     BoolGebraModel model(tiny_config());
     EXPECT_THROW(
-        (void)train_model_multi(model, std::span<const Dataset* const>{}),
+        (void)train_model(model, std::span<const Dataset* const>{}),
         bg::ContractViolation);
 }
 
@@ -99,7 +104,7 @@ TEST(MultiTrain, ImprovesWorstCaseOverSingleDesignTraining) {
 
     BoolGebraModel multi(tiny_config());
     const Dataset* sets[] = {&d1, &d2};
-    (void)train_model_multi(multi, sets, cfg);
+    (void)train_model(multi, sets, cfg);
     const double multi_on_d2 = evaluate_loss(multi, d2, idx2);
 
     EXPECT_LT(multi_on_d2, single_on_d2 + 0.05)

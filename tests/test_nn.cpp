@@ -179,11 +179,7 @@ TEST(Dropout, TrainEvalBehaviour) {
     Dropout drop(0.5F);
     Matrix x(10, 20);
     x.fill(1.0F);
-    const Matrix eval = drop.forward(x, /*train=*/false, rng);
-    for (const float v : eval.data()) {
-        EXPECT_FLOAT_EQ(v, 1.0F);
-    }
-    const Matrix train = drop.forward(x, /*train=*/true, rng);
+    const Matrix train = drop.forward(x, rng);
     std::size_t zeros = 0;
     for (const float v : train.data()) {
         if (v == 0.0F) {
@@ -201,13 +197,23 @@ TEST(Dropout, TrainEvalBehaviour) {
     for (std::size_t i = 0; i < dx.size(); ++i) {
         EXPECT_FLOAT_EQ(dx.data()[i], train.data()[i]);
     }
+    // A rate of 0 is the identity both ways and draws nothing.
+    Dropout off(0.0F);
+    const bg::Rng before = rng;
+    const Matrix same = off.forward(x, rng);
+    const Matrix back = off.backward(dy);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(same.data()[i], x.data()[i]);
+        EXPECT_EQ(back.data()[i], dy.data()[i]);
+    }
+    EXPECT_EQ(rng.next_u64(), bg::Rng(before).next_u64());
 }
 
 TEST(BatchNorm, NormalizesBatch) {
     bg::Rng rng(6);
     BatchNorm1d bn(4);
     const Matrix x = random_matrix(32, 4, rng, 5.0F);
-    const Matrix y = bn.forward(x, /*train=*/true);
+    const Matrix y = bn.forward(x);
     for (std::size_t j = 0; j < 4; ++j) {
         double mean = 0;
         double var = 0;
@@ -231,7 +237,7 @@ TEST(BatchNorm, GradientCheck) {
 
     const auto objective = [&]() {
         BatchNorm1d copy = bn;
-        const Matrix y = copy.forward(x, /*train=*/true);
+        const Matrix y = copy.forward(x);
         double s = 0;
         for (std::size_t i = 0; i < y.size(); ++i) {
             s += 0.5 * y.data()[i] * y.data()[i];
@@ -240,7 +246,7 @@ TEST(BatchNorm, GradientCheck) {
     };
 
     bn.zero_grad();
-    const Matrix y = bn.forward(x, /*train=*/true);
+    const Matrix y = bn.forward(x);
     const Matrix dx = bn.backward(y);
 
     auto params = bn.params();
