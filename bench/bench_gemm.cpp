@@ -2,7 +2,11 @@
 /// Micro-benchmark for the dense GEMM layer: naive (seed) triple loop vs
 /// the blocked/register-tiled kernel, sequential and ThreadPool-sharded.
 /// Every timed configuration is also parity-checked against the naive
-/// reference, so a wrong-but-fast kernel cannot slip through.
+/// reference, so a wrong-but-fast kernel cannot slip through.  A second
+/// table times one SAGE layer on one b07 inference chunk at the paper's
+/// widths: the unfused composition (two fresh-output matmuls, add, bias,
+/// clamp) against the fused per-panel SageConv kernel, after checking
+/// that the two agree bit for bit.
 ///
 /// Usage: bench_gemm [--quick] [--workers N]
 ///   --quick     fewer repetitions (CI nightly mode)
@@ -12,10 +16,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "circuits/registry.hpp"
+#include "core/features.hpp"
 #include "naive_gemm.hpp"
 #include "nn/matrix.hpp"
+#include "nn/sage.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
 #include "util/rng.hpp"
@@ -76,6 +84,62 @@ struct Case {
     const char* name;
     std::size_t n, k, m;
 };
+
+/// One SAGE layer the unfused way, given the neighbour aggregate: two
+/// fresh-output matmuls, elementwise add, add_row_bias, ReLU6 clamp.
+void sage_unfused(const Matrix& x, const Matrix& agg, const Matrix& w_self,
+                  const Matrix& w_neigh, std::span<const float> bias,
+                  Matrix& y, bg::ThreadPool* pool) {
+    bg::nn::matmul(x, w_self, y, pool);
+    Matrix yn;
+    bg::nn::matmul(agg, w_neigh, yn, pool);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+        y.data()[i] += yn.data()[i];
+    }
+    bg::nn::add_row_bias(y, bias);
+    for (auto& v : y.data()) {
+        v = std::clamp(v, 0.0F, 6.0F);
+    }
+}
+
+/// Time one b07 64-sample chunk through a paper-width SAGE layer both
+/// ways; false on a bit mismatch.
+bool bench_sage_layer(const char* name, const bg::nn::Csr& csr,
+                      std::size_t batch, std::size_t in, std::size_t out,
+                      bg::ThreadPool& pool, int reps, double min_time) {
+    bg::Rng rng(0x5A6E ^ (in << 12) ^ out);
+    const Matrix x = random_matrix(batch * csr.num_nodes(), in, rng);
+    bg::nn::SageConv conv(in, out, rng);
+    auto params = conv.params();
+    Matrix w_self(in, out);
+    Matrix w_neigh(in, out);
+    std::copy_n(params[0].value, w_self.size(), w_self.data().data());
+    std::copy_n(params[1].value, w_neigh.size(), w_neigh.data().data());
+    for (std::size_t j = 0; j < out; ++j) {
+        params[2].value[j] = 2.0F * rng.next_float() - 1.0F;
+    }
+    const std::span<const float> bias(params[2].value, out);
+    Matrix agg;
+    bg::nn::mean_aggregate(x, csr, batch, agg);
+
+    Matrix unfused;
+    sage_unfused(x, agg, w_self, w_neigh, bias, unfused, &pool);
+    Matrix fused(x.rows(), out);
+    conv.forward_eval(x, csr, batch, fused, &pool);
+    if (!bit_equal(unfused, fused)) {
+        std::printf("%-14s PARITY FAILURE\n", name);
+        return false;
+    }
+    const double t_unfused = time_best(
+        [&] { sage_unfused(x, agg, w_self, w_neigh, bias, unfused, &pool); },
+        reps, min_time);
+    const double t_fused = time_best(
+        [&] { conv.forward_eval(x, csr, batch, fused, &pool); }, reps,
+        min_time);
+    std::printf("%-14s %8.1fms %8.1fms %8.2fx\n", name, t_unfused * 1e3,
+                t_fused * 1e3, t_unfused / t_fused);
+    return true;
+}
 
 }  // namespace
 
@@ -175,11 +239,35 @@ int main(int argc, char** argv) {
                     nt_naive / nt_blocked);
     }
 
+    // One SAGE layer on one inference chunk of registry b07 at the paper's
+    // widths.  The naive triple loop is skipped at these sizes; the fused
+    // layer is checked against the unfused composition instead.
+    {
+        const auto csr =
+            bg::core::build_csr(bg::circuits::make_benchmark("b07"));
+        constexpr std::size_t batch = 64;  // BoolGebraModel::kPredictBatch
+        std::printf("\nSAGE layer, one b07 chunk (%zu samples x %zu nodes ="
+                    " %zu rows), pool = %zu workers.\nunfused = 2 matmul +"
+                    " add + bias + clamp (aggregate precomputed); panel ="
+                    " fused kernel incl. aggregation\n\n",
+                    batch, csr.num_nodes(), batch * csr.num_nodes(),
+                    pool.size());
+        std::printf("%-14s %10s %10s %9s\n", "layer", "unfused", "panel",
+                    "speedup");
+        all_ok = bench_sage_layer("b07-12x512", csr, batch, 12, 512, pool,
+                                  reps, min_time) &&
+                 all_ok;
+        all_ok = bench_sage_layer("b07-512x512", csr, batch, 512, 512, pool,
+                                  reps, min_time) &&
+                 all_ok;
+    }
+
     if (!all_ok) {
-        std::printf("\nFAIL: blocked kernel does not match the naive"
-                    " reference bit-for-bit\n");
+        std::printf("\nFAIL: a blocked kernel or the fused SAGE layer does"
+                    " not match its reference bit-for-bit\n");
         return 1;
     }
-    std::printf("\nall kernels parity-checked against the naive reference\n");
+    std::printf("\nall kernels parity-checked against the naive reference;"
+                " the SAGE layer against the unfused composition\n");
     return 0;
 }

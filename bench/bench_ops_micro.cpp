@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
-
 #include "aig/simulation.hpp"
 #include "bdd/cec_bdd.hpp"
 #include "circuits/registry.hpp"
@@ -199,37 +197,6 @@ void BM_MeanAggregate(benchmark::State& state) {
         static_cast<std::int64_t>(batch * csr.neighbors.size() * feat));
 }
 BENCHMARK(BM_MeanAggregate)->Arg(0)->Arg(1);
-
-void BM_MeanAggregatePooled(benchmark::State& state) {
-    // The edge-parallel sharded aggregation on a worker pool (Arg = pool
-    // size; 0 = serial reference).  Bit-identical to BM_MeanAggregate's
-    // serial result by construction — this measures scheduling overhead
-    // vs. speedup at the flow's real batch shape.
-    const auto g = design();
-    const auto csr = bg::core::build_csr(g);
-    constexpr std::size_t batch = 8;
-    constexpr std::size_t feat = 48;
-    bg::Rng rng(6);
-    bg::nn::Matrix x(batch * csr.num_nodes(), feat);
-    for (auto& v : x.data()) {
-        v = rng.next_float();
-    }
-    const auto workers = static_cast<std::size_t>(state.range(0));
-    std::optional<bg::ThreadPool> pool;
-    if (workers > 0) {
-        pool.emplace(workers);
-    }
-    bg::nn::Matrix h;
-    for (auto _ : state) {
-        bg::nn::mean_aggregate(x, csr, batch, h,
-                               pool ? &*pool : nullptr);
-        benchmark::DoNotOptimize(h.data().data());
-    }
-    state.SetItemsProcessed(
-        state.iterations() *
-        static_cast<std::int64_t>(batch * csr.neighbors.size() * feat));
-}
-BENCHMARK(BM_MeanAggregatePooled)->Arg(0)->Arg(2)->Arg(4);
 
 void BM_SageForward(benchmark::State& state) {
     const auto g = design();

@@ -15,6 +15,15 @@ namespace {
 /// The model's input width: one column per node feature.
 constexpr auto kInDim = static_cast<std::size_t>(feature_dim);
 
+/// The first `rows` rows of `buf` as a `cols`-wide view; reallocates only
+/// when the buffer is narrower, wider or shorter than that.
+nn::MatrixView reuse_rows(Matrix& buf, std::size_t rows, std::size_t cols) {
+    if (buf.cols() != cols || buf.rows() < rows) {
+        buf = Matrix(rows, cols);
+    }
+    return buf.rows_view(0, rows);
+}
+
 }  // namespace
 
 BoolGebraModel::BoolGebraModel(const ModelConfig& cfg)
@@ -41,7 +50,6 @@ BoolGebraModel::BoolGebraModel(const ModelConfig& cfg)
     for (const int out : cfg.sage_dims) {
         convs_.emplace_back(static_cast<std::size_t>(in),
                             static_cast<std::size_t>(out), init);
-        conv_act_.emplace_back();
         conv_drop_.emplace_back(cfg.dropout);
         in = out;
     }
@@ -82,12 +90,11 @@ void BoolGebraModel::set_input_stats(std::vector<float> mean,
 }
 
 void BoolGebraModel::standardize_into(nn::ConstMatrixView x,
-                                      Matrix& y) const {
+                                      nn::MatrixView y) const {
     // One fused pass: materializes the (possibly strided) view and applies
     // the column statistics together.
-    if (y.rows() != x.rows() || y.cols() != x.cols()) {
-        y = Matrix(x.rows(), x.cols());
-    }
+    BG_EXPECTS(y.rows() == x.rows() && y.cols() == x.cols(),
+               "standardize shape mismatch");
     const std::size_t f = x.cols();
     for (std::size_t i = 0; i < x.rows(); ++i) {
         const float* src = x.row(i);
@@ -106,15 +113,14 @@ Matrix BoolGebraModel::forward(nn::ConstMatrixView x, const nn::Csr& csr,
     Matrix owned;  // standardized copy when input stats are active
     nn::ConstMatrixView cur = x;
     if (!in_mean_.empty()) {
+        owned = Matrix(x.rows(), x.cols());
         standardize_into(x, owned);
         cur = owned;
     }
     Matrix h = convs_[0].forward(cur, csr, batch, pool);
-    h = conv_act_[0].forward(h);
     h = conv_drop_[0].forward(h, rng_);
     for (std::size_t i = 1; i < convs_.size(); ++i) {
         h = convs_[i].forward(h, csr, batch, pool);
-        h = conv_act_[i].forward(h);
         h = conv_drop_[i].forward(h, rng_);
     }
     Matrix pooled;
@@ -134,21 +140,23 @@ Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
                                     bg::ThreadPool* pool) const {
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
-    nn::ConstMatrixView cur = x;
+    const std::size_t rows = x.rows();
+    nn::ConstMatrixView h = x;
     if (!in_mean_.empty()) {
-        standardize_into(x, scratch.standardized);
-        cur = scratch.standardized;
+        const nn::MatrixView std_x =
+            reuse_rows(scratch.standardized, rows, x.cols());
+        standardize_into(x, std_x);
+        h = std_x;
     }
-    if (scratch.sage_agg.size() < convs_.size()) {
-        scratch.sage_agg.resize(convs_.size());
+    if (scratch.sage_out.size() < convs_.size()) {
+        scratch.sage_out.resize(convs_.size());
     }
     // Dropout is the identity at eval time and is skipped outright.
-    Matrix h =
-        convs_[0].forward_eval(cur, csr, batch, scratch.sage_agg[0], pool);
-    h = conv_act_[0].forward_eval(std::move(h));
-    for (std::size_t i = 1; i < convs_.size(); ++i) {
-        h = convs_[i].forward_eval(h, csr, batch, scratch.sage_agg[i], pool);
-        h = conv_act_[i].forward_eval(std::move(h));
+    for (std::size_t i = 0; i < convs_.size(); ++i) {
+        const nn::MatrixView out =
+            reuse_rows(scratch.sage_out[i], rows, convs_[i].out_dim());
+        convs_[i].forward_eval(h, csr, batch, out, pool);
+        h = out;
     }
     Matrix pooled;
     nn::mean_pool(h, batch, pooled);
@@ -173,7 +181,6 @@ void BoolGebraModel::backward(const Matrix& dpred) {
     nn::mean_pool_backward(d, cache_num_nodes_, dnodes);
     for (std::size_t i = convs_.size(); i-- > 0;) {
         dnodes = conv_drop_[i].backward(dnodes);
-        dnodes = conv_act_[i].backward(dnodes);
         dnodes = convs_[i].backward(dnodes);
     }
 }
@@ -433,6 +440,11 @@ void BoolGebraModel::load(const std::filesystem::path& path) {
         if (!in) {
             throw std::runtime_error("truncated model file: " + path.string());
         }
+    }
+    if (in.peek() != std::ifstream::traits_type::eof()) {
+        throw std::runtime_error(
+            "model file has trailing bytes after the last tensor: " +
+            path.string());
     }
 }
 

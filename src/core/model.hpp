@@ -184,15 +184,14 @@ private:
         bg::ThreadPool* pool,
         const std::function<double(const nn::Matrix&, std::size_t)>& score)
         const;
-    /// Standardize `x` into `y`, reusing y's storage when already sized.
-    void standardize_into(nn::ConstMatrixView x, nn::Matrix& y) const;
+    /// Standardize `x` into the same-shaped `y`.
+    void standardize_into(nn::ConstMatrixView x, nn::MatrixView y) const;
 
     ModelConfig cfg_;
     bg::Rng rng_;  ///< drives dropout masks
     std::vector<float> in_mean_;
     std::vector<float> in_std_;
-    std::vector<nn::SageConv> convs_;
-    std::vector<nn::ReLU6> conv_act_;
+    std::vector<nn::SageConv> convs_;  ///< each applies its ReLU6
     std::vector<nn::Dropout> conv_drop_;
     std::vector<nn::Linear> linears_;
     nn::ReLU6 mlp_act0_;

@@ -73,11 +73,15 @@ Matrix ReLU6::forward_eval(Matrix x) const {
 }
 
 Matrix ReLU6::backward(const Matrix& dy) {
-    BG_EXPECTS(dy.size() == cache_x_.size(), "relu6 backward shape mismatch");
+    return relu6_backward(cache_x_, dy);
+}
+
+Matrix relu6_backward(const Matrix& x, const Matrix& dy) {
+    BG_EXPECTS(dy.size() == x.size(), "relu6 backward shape mismatch");
     Matrix dx = dy;
     for (std::size_t i = 0; i < dx.size(); ++i) {
-        const float x = cache_x_.data()[i];
-        if (x <= 0.0F || x >= 6.0F) {
+        const float v = x.data()[i];
+        if (v <= 0.0F || v >= 6.0F) {
             dx.data()[i] = 0.0F;
         }
     }

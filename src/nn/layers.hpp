@@ -30,14 +30,15 @@ struct ParamRef {
 };
 
 /// Reusable temporaries for the const eval-mode forward path.  Buffers are
-/// sized on first use and reused across forward_eval() calls, so a long
-/// inference stream allocates once.  One scratch per thread: instances
-/// must never be shared between concurrent forwards.
+/// sized by the first (largest) chunk and reused across forward_eval()
+/// calls — a smaller chunk uses a row prefix — so a long inference stream
+/// allocates once.  One scratch per thread: instances must never be
+/// shared between concurrent forwards.
 struct EvalScratch {
     Matrix standardized;  ///< model input standardization buffer
-    /// SageConv neighbor-aggregation buffers, one per conv layer (layer
-    /// widths differ, so sharing one buffer would reallocate every call).
-    std::vector<Matrix> sage_agg;
+    /// SageConv layer outputs, one per conv layer: each layer reads the
+    /// previous one's buffer and writes its own.
+    std::vector<Matrix> sage_out;
 };
 
 class Linear {
@@ -79,6 +80,10 @@ public:
 private:
     Matrix cache_x_;
 };
+
+/// ReLU6's input gradient given its input `x`: dy where 0 < x < 6, else 0
+/// (also used by SageConv, which applies the activation itself).
+Matrix relu6_backward(const Matrix& x, const Matrix& dy);
 
 class Sigmoid {
 public:

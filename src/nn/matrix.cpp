@@ -47,9 +47,6 @@ namespace {
 /// k-block depth: a kKc-deep panel of B stays cache-resident while a whole
 /// row panel of A streams past it.
 constexpr std::size_t kKc = 256;
-/// Rows of C per parallel work item (multiple of every Mr below).
-constexpr std::size_t kRowPanel = 64;
-
 /// Full Mr x Nr tile: compile-time bounds, accumulators live in registers
 /// for the whole k block.  always_inline so the body is compiled with the
 /// ISA of whichever driver variant it is expanded into.

@@ -162,9 +162,15 @@ private:
     std::vector<float> data_;
 };
 
-/// C = A * B.  Blocked/tiled kernel; `pool` (optional) shards disjoint row
-/// panels of C, leaving results bit-identical to the sequential run.  `c`
-/// is reallocated, so it must not alias the storage behind `a` or `b`.
+/// Rows of C per parallel work item of the GEMM driver (a multiple of
+/// every register-tile height); the SAGE layer kernel (sage.hpp) runs one
+/// task per panel of the same height.
+inline constexpr std::size_t kRowPanel = 64;
+
+/// C = A * B.  Blocked/tiled kernel; `pool` (optional) shards disjoint
+/// kRowPanel-row panels of C, leaving results bit-identical to the
+/// sequential run.  `c` is reallocated, so it must not alias the storage
+/// behind `a` or `b`.
 void matmul(ConstMatrixView a, ConstMatrixView b, Matrix& c,
             bg::ThreadPool* pool = nullptr);
 /// C = A^T * B (gradients w.r.t. weights); transpose-packs A.

@@ -20,14 +20,15 @@ void Csr::build_inv_deg() {
     }
 }
 
-void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                    Matrix& h, bg::ThreadPool* pool) {
+namespace {
+
+/// Rows [r0, r1) of the mean aggregation into rows 0..r1-r0 of `h`: each
+/// row sums its neighbours' rows from +0 in CSR edge order, then scales
+/// by 1/deg (isolated nodes stay 0).
+void aggregate_rows(ConstMatrixView x, const Csr& csr, std::size_t r0,
+                    std::size_t r1, MatrixView h) {
     const std::size_t n = csr.num_nodes();
-    BG_EXPECTS(x.rows() == batch * n, "feature rows must be batch * nodes");
     const std::size_t f = x.cols();
-    if (!(h.rows() == x.rows() && h.cols() == f)) {
-        h = Matrix(x.rows(), f);
-    }
     // Raw pointers: by-value view structs defeat vectorization of the
     // accumulation loop (see the GEMM kernels in matrix.cpp), and rows are
     // touched exactly once each, so no whole-matrix zero fill is needed.
@@ -35,79 +36,50 @@ void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
     const std::int32_t* neighbors = csr.neighbors.data();
     const float* inv_deg =
         csr.inv_deg.size() == n ? csr.inv_deg.data() : nullptr;
-    // Rows are independent and each is accumulated wholly by one thread in
-    // edge order, so any partition of the row range gives the same bits as
-    // the serial loop.
-    const auto row_range = [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const std::size_t b = r / n;
-            const std::size_t i = r - b * n;
-            const std::size_t base = b * n;
-            float* hi = h.row(r);
-            std::fill(hi, hi + f, 0.0F);
-            const auto beg = offsets[i];
-            const auto end = offsets[i + 1];
-            if (beg == end) {
-                continue;
-            }
-            for (auto e = beg; e < end; ++e) {
-                const float* xj =
-                    x.row(base + static_cast<std::size_t>(
-                                     neighbors[static_cast<std::size_t>(e)]));
-                for (std::size_t c = 0; c < f; ++c) {
-                    hi[c] += xj[c];
-                }
-            }
-            const float inv = inv_deg != nullptr
-                                  ? inv_deg[i]
-                                  : 1.0F / static_cast<float>(end - beg);
-            for (std::size_t c = 0; c < f; ++c) {
-                hi[c] *= inv;
-            }
-        }
-    };
-
-    const std::size_t rows = batch * n;
-    const std::size_t edges = csr.neighbors.size();
-    // Per-row cost ~ degree + 1; below this much total work the fork-join
-    // overhead outweighs the sharding.
-    constexpr std::size_t k_min_shard_work = std::size_t{1} << 15;
-    if (pool == nullptr || pool->size() < 2 ||
-        batch * (edges + n) < k_min_shard_work) {
-        row_range(0, rows);
-        return;
-    }
-
-    // Edge-balanced shard boundaries: the cumulative cost of rows before
-    // global row r = (b, i) is b*(edges+n) + offsets[i] + i, monotone in
-    // r, so each boundary is a binary search — heavy hubs split across
-    // boundaries land wholly in one shard, light tails pack together.
-    const std::size_t num_shards = std::min(rows, pool->size() * 4);
-    const std::size_t total = batch * (edges + n);
-    const auto cum = [&](std::size_t r) {
+    for (std::size_t r = r0; r < r1; ++r) {
         const std::size_t b = r / n;
         const std::size_t i = r - b * n;
-        return b * (edges + n) + static_cast<std::size_t>(offsets[i]) + i;
-    };
-    std::vector<std::size_t> bounds(num_shards + 1, 0);
-    bounds[num_shards] = rows;
-    for (std::size_t s = 1; s < num_shards; ++s) {
-        const std::size_t target = total / num_shards * s;
-        std::size_t lo = bounds[s - 1];
-        std::size_t hi = rows;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (cum(mid) < target) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        const std::size_t base = b * n;
+        float* hi = h.row(r - r0);
+        std::fill(hi, hi + f, 0.0F);
+        const auto beg = offsets[i];
+        const auto end = offsets[i + 1];
+        if (beg == end) {
+            continue;
+        }
+        for (auto e = beg; e < end; ++e) {
+            const float* xj =
+                x.row(base + static_cast<std::size_t>(
+                                 neighbors[static_cast<std::size_t>(e)]));
+            for (std::size_t c = 0; c < f; ++c) {
+                hi[c] += xj[c];
             }
         }
-        bounds[s] = lo;
+        const float inv = inv_deg != nullptr
+                              ? inv_deg[i]
+                              : 1.0F / static_cast<float>(end - beg);
+        for (std::size_t c = 0; c < f; ++c) {
+            hi[c] *= inv;
+        }
     }
-    pool->for_each(num_shards, [&](std::size_t s) {
-        row_range(bounds[s], bounds[s + 1]);
-    });
+}
+
+/// Per-thread panel tiles of the layer kernel.  They belong to the pool
+/// task, never to a caller's scratch, because concurrent forwards share
+/// one pool; a panel task runs no nested pool loop, so one set per thread
+/// is never used by two tasks at once.
+thread_local std::vector<float> t_panel_tiles;
+
+}  // namespace
+
+void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
+                    Matrix& h) {
+    BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
+               "feature rows must be batch * nodes");
+    if (!(h.rows() == x.rows() && h.cols() == x.cols())) {
+        h = Matrix(x.rows(), x.cols());
+    }
+    aggregate_rows(x, csr, 0, x.rows(), h.view());
 }
 
 void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
@@ -183,50 +155,94 @@ SageConv::SageConv(std::size_t in, std::size_t out, bg::Rng& rng)
       gw_neigh_(in, out),
       gb_(out, 0.0F) {}
 
+void SageConv::run_panels(ConstMatrixView x, const Csr& csr,
+                          std::size_t batch, MatrixView out, MatrixView agg,
+                          MatrixView pre, bg::ThreadPool* pool) const {
+    const std::size_t rows = x.rows();
+    const std::size_t in = in_dim();
+    const std::size_t width = out_dim();
+    BG_EXPECTS(x.cols() == in, "sage input width mismatch");
+    BG_EXPECTS(rows == batch * csr.num_nodes(),
+               "feature rows must be batch * nodes");
+    BG_EXPECTS(out.rows() == rows && out.cols() == width,
+               "sage output shape mismatch");
+    const std::size_t panels = (rows + kRowPanel - 1) / kRowPanel;
+    bg::for_each_index(pool, panels, [&](std::size_t p) {
+        const std::size_t r0 = p * kRowPanel;
+        const std::size_t m = std::min(kRowPanel, rows - r0);
+        const std::size_t agg_len = agg.empty() ? m * in : 0;
+        auto& tiles = t_panel_tiles;
+        if (tiles.size() < agg_len + 2 * m * width) {
+            tiles.resize(agg_len + 2 * m * width);
+        }
+        const MatrixView h = agg.empty() ? MatrixView(tiles.data(), m, in, in)
+                                         : agg.rows_view(r0, m);
+        aggregate_rows(x, csr, r0, r0 + m, h);
+        // Both products start from +0 and accumulate in ascending k, as
+        // matmul into a fresh matrix does.
+        float* self = tiles.data() + agg_len;
+        float* neigh = self + m * width;
+        std::fill(self, neigh + m * width, 0.0F);
+        gemm_accumulate(x.rows_view(r0, m), w_self_,
+                        MatrixView(self, m, width, width), nullptr);
+        gemm_accumulate(h, w_neigh_, MatrixView(neigh, m, width, width),
+                        nullptr);
+        const float* bias = b_.data();
+        for (std::size_t r = 0; r < m; ++r) {
+            const float* sr = self + r * width;
+            const float* nr = neigh + r * width;
+            float* o = out.row(r0 + r);
+            if (pre.empty()) {
+                for (std::size_t c = 0; c < width; ++c) {
+                    o[c] = std::clamp((sr[c] + nr[c]) + bias[c], 0.0F, 6.0F);
+                }
+                continue;
+            }
+            float* pr = pre.row(r0 + r);
+            for (std::size_t c = 0; c < width; ++c) {
+                pr[c] = (sr[c] + nr[c]) + bias[c];
+                o[c] = std::clamp(pr[c], 0.0F, 6.0F);
+            }
+        }
+    });
+}
+
 Matrix SageConv::forward(ConstMatrixView x, const Csr& csr,
                          std::size_t batch, bg::ThreadPool* pool) {
-    Matrix agg;  // aggregated neighbors
-    Matrix y = forward_eval(x, csr, batch, agg, pool);
     cache_x_ = Matrix(x);
-    cache_h_ = std::move(agg);
+    cache_h_ = Matrix(x.rows(), in_dim());
+    cache_pre_ = Matrix(x.rows(), out_dim());
+    Matrix y(x.rows(), out_dim());
+    run_panels(x, csr, batch, y, cache_h_, cache_pre_, pool);
     csr_ = &csr;
     batch_ = batch;
     return y;
 }
 
-Matrix SageConv::forward_eval(ConstMatrixView x, const Csr& csr,
-                              std::size_t batch, Matrix& agg,
-                              bg::ThreadPool* pool) const {
-    BG_EXPECTS(x.cols() == w_self_.rows(), "sage input width mismatch");
-    mean_aggregate(x, csr, batch, agg, pool);
-    Matrix y;
-    matmul(x, w_self_, y, pool);
-    Matrix yn;
-    matmul(agg, w_neigh_, yn, pool);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-        y.data()[i] += yn.data()[i];
-    }
-    add_row_bias(y, b_);
-    return y;
+void SageConv::forward_eval(ConstMatrixView x, const Csr& csr,
+                            std::size_t batch, MatrixView out,
+                            bg::ThreadPool* pool) const {
+    run_panels(x, csr, batch, out, {}, {}, pool);
 }
 
 Matrix SageConv::backward(const Matrix& dy) {
     BG_EXPECTS(csr_ != nullptr, "backward without forward");
+    const Matrix dpre = relu6_backward(cache_pre_, dy);
     Matrix g;
-    matmul_tn(cache_x_, dy, g);
+    matmul_tn(cache_x_, dpre, g);
     for (std::size_t i = 0; i < gw_self_.size(); ++i) {
         gw_self_.data()[i] += g.data()[i];
     }
-    matmul_tn(cache_h_, dy, g);
+    matmul_tn(cache_h_, dpre, g);
     for (std::size_t i = 0; i < gw_neigh_.size(); ++i) {
         gw_neigh_.data()[i] += g.data()[i];
     }
-    accumulate_bias_grad(dy, gb_);
+    accumulate_bias_grad(dpre, gb_);
 
     Matrix dx;
-    matmul_nt(dy, w_self_, dx);
+    matmul_nt(dpre, w_self_, dx);
     Matrix dh;
-    matmul_nt(dy, w_neigh_, dh);
+    matmul_nt(dpre, w_neigh_, dh);
     Matrix dx_agg;
     mean_aggregate_transpose(dh, *csr_, batch_, dx_agg);
     for (std::size_t i = 0; i < dx.size(); ++i) {

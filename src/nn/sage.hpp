@@ -21,7 +21,7 @@ struct Csr {
     std::vector<std::int32_t> offsets;    ///< size num_nodes + 1
     std::vector<std::int32_t> neighbors;  ///< size 2 * |edges|
     /// Precomputed 1/degree per node (0 for isolated nodes), filled by
-    /// build_inv_deg().  mean_aggregate takes its fast path when present
+    /// build_inv_deg().  The aggregation takes its fast path when present
     /// — one division per node per design instead of per inference call —
     /// and falls back to dividing on the fly (bit-identical) when empty,
     /// so hand-built CSRs keep working.
@@ -34,22 +34,32 @@ struct Csr {
     void build_inv_deg();
 };
 
-/// y_i = x_i W_self + mean_{j in N(i)} x_j W_neigh + b
+/// y_i = ReLU6(x_i W_self + mean_{j in N(i)} x_j W_neigh + b): one
+/// GraphSAGE layer with the paper's activation folded in.
+///
+/// Both passes run one fused kernel, one task per kRowPanel-row panel of
+/// the output: it aggregates the panel's neighbours, runs the self and
+/// neighbour GEMMs for those rows into task-local tiles (each element an
+/// ascending-k sum from +0, as matmul gives) and writes
+/// clamp((self + neigh) + b, 0, 6) once.  Every output element therefore
+/// sees the same operations in the same order at any pool size, and the
+/// layer allocates no temporary of its own size.
 class SageConv {
 public:
     SageConv(std::size_t in, std::size_t out, bg::Rng& rng);
 
     /// Training pass: `x` is (B*N, in); the same CSR applies to each of
-    /// the B blocks.  Caches the input and the aggregation for backward;
-    /// `pool` shards the GEMM row panels bit-stably.
+    /// the B blocks.  Runs the forward_eval() kernel and keeps the input,
+    /// the neighbour aggregate and the pre-activation for backward.
     Matrix forward(ConstMatrixView x, const Csr& csr, std::size_t batch,
                    bg::ThreadPool* pool = nullptr);
-    /// Same output bits as forward() without touching any member; the
-    /// neighbor aggregation reuses `agg` (one scratch buffer per layer per
-    /// thread, see EvalScratch).
-    Matrix forward_eval(ConstMatrixView x, const Csr& csr,
-                        std::size_t batch, Matrix& agg,
-                        bg::ThreadPool* pool = nullptr) const;
+    /// Evaluation pass into `out`, a (B*N, out) view whose stale contents
+    /// are overwritten and which must not overlap `x`.  Touches no member,
+    /// so concurrent forwards may share one layer and one pool; `out` is
+    /// the caller's reusable buffer (see EvalScratch).
+    void forward_eval(ConstMatrixView x, const Csr& csr, std::size_t batch,
+                      MatrixView out, bg::ThreadPool* pool = nullptr) const;
+    /// dL/d(output) -> dL/dx; accumulates parameter gradients.
     Matrix backward(const Matrix& dy);
 
     void zero_grad();
@@ -59,6 +69,13 @@ public:
     std::size_t out_dim() const { return w_self_.cols(); }
 
 private:
+    /// The panel kernel behind both passes.  `agg` and `pre`, when not
+    /// empty, are (B*N, in) and (B*N, out) views that receive the
+    /// neighbour aggregate and the pre-activation.
+    void run_panels(ConstMatrixView x, const Csr& csr, std::size_t batch,
+                    MatrixView out, MatrixView agg, MatrixView pre,
+                    bg::ThreadPool* pool) const;
+
     Matrix w_self_;
     Matrix w_neigh_;
     std::vector<float> b_;
@@ -67,19 +84,17 @@ private:
     std::vector<float> gb_;
     // Caches.
     Matrix cache_x_;
-    Matrix cache_h_;  // aggregated neighbors
+    Matrix cache_h_;    // aggregated neighbors
+    Matrix cache_pre_;  // pre-activation
     const Csr* csr_ = nullptr;
     std::size_t batch_ = 0;
 };
 
-/// H[i] = mean of X over i's neighbors, per batch block.  `h` is reused
-/// without reallocation when it already has the right shape.  `pool`
-/// shards the row range edge-balanced (boundaries from a binary search on
-/// the CSR offsets, so heavy hubs don't serialize a shard); every row is
-/// accumulated wholly inside one shard in the same order as the serial
-/// loop, so the result is bit-identical at any worker count.
+/// H[i] = mean of X over i's neighbors, per batch block (serial; the
+/// layer kernel aggregates the same way, one row panel at a time).  `h`
+/// is reused without reallocation when it already has the right shape.
 void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                    Matrix& h, bg::ThreadPool* pool = nullptr);
+                    Matrix& h);
 /// Transposed aggregation: DX[j] += DH[i]/deg(i) for each edge (i, j).
 void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
                               std::size_t batch, Matrix& dx);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 
 #include "circuits/registry.hpp"
 #include "core/dataset.hpp"
@@ -8,6 +12,7 @@
 #include "core/sampling.hpp"
 #include "core/trainer.hpp"
 #include "util/contracts.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -28,6 +33,18 @@ Dataset tiny_dataset(std::size_t num_samples = 24, std::uint64_t seed = 3) {
     const Aig g = bg::circuits::make_benchmark_scaled("b10", 0.4);
     const auto records = generate_guided_samples(g, num_samples, seed);
     return build_dataset(g, records);
+}
+
+/// Every sample's feature rows stacked into one (B * N, feature_dim)
+/// matrix, the layout the flows hand to inference.
+bg::nn::Matrix stacked_features(const Dataset& ds) {
+    const std::size_t n = ds.num_nodes();
+    bg::nn::Matrix x(ds.size() * n, static_cast<std::size_t>(feature_dim));
+    for (std::size_t s = 0; s < ds.size(); ++s) {
+        const auto& feats = ds.samples()[s].features;
+        std::copy(feats.begin(), feats.end(), x.row(s * n));
+    }
+    return x;
 }
 
 TEST(Model, OutputShapeAndRange) {
@@ -58,6 +75,55 @@ TEST(Model, DeterministicInference) {
     const auto first = c.predict(ds, idx);
     EXPECT_EQ(first, a.predict(ds, idx));
     EXPECT_EQ(c.predict(ds, idx), first);
+}
+
+TEST(Model, PaperWidthPredictionsBitEqualAtAnyPoolSize) {
+    // 66 samples run as chunks of 64 + 2, so the second chunk reuses a row
+    // prefix of the first chunk's layer buffers.  The paper's 512-wide
+    // layers span many row panels per chunk; the pool only schedules them.
+    const Aig g = bg::circuits::make_benchmark_scaled("b07", 0.25);
+    const Dataset ds = build_dataset(g, generate_guided_samples(g, 66, 7));
+    const bg::nn::Matrix x = stacked_features(ds);
+    const BoolGebraModel model(ModelConfig::paper());
+    const auto serial =
+        model.predict_batch_head(ds.csr(), ds.num_nodes(), x, 0);
+    ASSERT_EQ(serial.size(), 66u);
+    EXPECT_NE(*std::min_element(serial.begin(), serial.end()),
+              *std::max_element(serial.begin(), serial.end()));
+    for (const std::size_t workers : {1UL, 2UL, 4UL}) {
+        bg::ThreadPool pool(workers);
+        const auto pooled = model.predict_batch_head(
+            ds.csr(), ds.num_nodes(), x, 0, BoolGebraModel::kPredictBatch,
+            &pool);
+        ASSERT_EQ(pooled.size(), serial.size());
+        for (std::size_t s = 0; s < serial.size(); ++s) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled[s]),
+                      std::bit_cast<std::uint64_t>(serial[s]))
+                << "workers=" << workers << " sample " << s;
+        }
+    }
+}
+
+TEST(Model, TrainingForwardMatchesEvalForwardBitForBit) {
+    // Without dropout the two passes share every operation: the SAGE
+    // layers run one kernel, and BatchNorm normalizes a multi-row batch
+    // with its own statistics in both.
+    const Dataset ds = tiny_dataset(6);
+    const bg::nn::Matrix x = stacked_features(ds);
+    BoolGebraModel model(ModelConfig::quick());
+    ASSERT_EQ(model.config().dropout, 0.0F);
+    model.set_input_stats(std::vector<float>(feature_dim, 0.5F),
+                          std::vector<float>(feature_dim, 2.0F));
+    bg::nn::EvalScratch scratch;
+    const bg::nn::Matrix eval = model.forward_eval(x, ds.csr(), 6, scratch);
+    const bg::nn::Matrix train = model.forward(x, ds.csr(), 6);
+    ASSERT_EQ(train.rows(), eval.rows());
+    ASSERT_EQ(train.cols(), eval.cols());
+    for (std::size_t i = 0; i < eval.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(train.data()[i]),
+                  std::bit_cast<std::uint32_t>(eval.data()[i]))
+            << "element " << i;
+    }
 }
 
 TEST(Model, ParameterCountMatchesArchitecture) {
@@ -103,6 +169,32 @@ TEST(Model, LoadRejectsWrongArchitecture) {
     bigger.sage_dims = {16, 12, 8};
     BoolGebraModel b(bigger);
     EXPECT_THROW(b.load(path), std::runtime_error);
+    std::filesystem::remove(path);
+}
+
+TEST(Model, LoadRejectsTrailingBytes) {
+    BoolGebraModel a(tiny_config());
+    const auto path =
+        std::filesystem::temp_directory_path() / "bg_model_trailing.bin";
+    a.save(path);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        const char extra[8] = {};
+        out.write(extra, sizeof extra);
+    }
+    const auto expect_rejected = [&](const auto& load) {
+        try {
+            load();
+            ADD_FAILURE() << "a checkpoint with trailing bytes loaded";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(path.string()),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    BoolGebraModel b(tiny_config());
+    expect_rejected([&] { b.load(path); });
+    expect_rejected([&] { (void)load_checkpoint(path, tiny_config()); });
     std::filesystem::remove(path);
 }
 

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <span>
 
+#include "naive_gemm.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/matrix.hpp"
@@ -316,9 +323,9 @@ TEST(Sage, MeanAggregateCachedInvDegBitIdenticalToFallback) {
     }
 }
 
-/// Random graph with a heavy hub (node 0 adjacent to everything): the
-/// worst case for edge-balanced sharding — one row carries a large share
-/// of the edges and must still land wholly inside one shard.
+/// Random graph with a heavy hub (node 0 adjacent to everything), plus
+/// random extra edges including self-loops and repeats: one row carries a
+/// large share of the edges.
 Csr hub_graph(std::size_t n, bg::Rng& rng) {
     std::vector<std::vector<std::int32_t>> adj(n);
     for (std::size_t i = 1; i < n; ++i) {
@@ -344,45 +351,19 @@ Csr hub_graph(std::size_t n, bg::Rng& rng) {
     return csr;
 }
 
-TEST(Sage, MeanAggregatePooledBitIdenticalToSerial) {
-    // The edge-parallel sharding is a pure scheduling change: every row is
-    // accumulated wholly by one thread in serial edge order, so the pooled
-    // result must equal the serial one bit for bit at any worker count —
-    // on hub-skewed graphs (shard boundaries cut next to heavy rows) and
-    // above/below the minimum-work threshold alike.
-    bg::Rng rng(77);
-    for (const std::size_t n : {64UL, 1500UL}) {
-        const Csr csr = hub_graph(n, rng);
-        for (const std::size_t batch : {1UL, 4UL}) {
-            Matrix x(batch * n, 9);
-            for (auto& v : x.data()) {
-                v = rng.next_float() * 2.0F - 1.0F;
-            }
-            Matrix h_serial;
-            mean_aggregate(x, csr, batch, h_serial, nullptr);
-            for (const std::size_t workers : {1UL, 2UL, 3UL, 8UL}) {
-                bg::ThreadPool pool(workers);
-                Matrix h_pooled(batch * n, 9);
-                h_pooled.fill(42.0F);  // stale storage must be overwritten
-                mean_aggregate(x, csr, batch, h_pooled, &pool);
-                ASSERT_EQ(h_pooled.rows(), h_serial.rows());
-                for (std::size_t i = 0; i < h_serial.size(); ++i) {
-                    ASSERT_EQ(h_serial.data()[i], h_pooled.data()[i])
-                        << "n=" << n << " batch=" << batch
-                        << " workers=" << workers << " elt " << i;
-                }
-            }
-        }
-    }
-}
-
-TEST(Sage, MeanAggregateZeroesIsolatedNodes) {
-    // Node 1 is isolated; its output row must be zero even when the
-    // output matrix is reused with stale contents.
+/// Node 1 is isolated; nodes 0 and 2 are adjacent.
+Csr isolated_node_graph() {
     Csr csr;
     csr.offsets = {0, 1, 1, 2};
     csr.neighbors = {2, 0};
     csr.build_inv_deg();
+    return csr;
+}
+
+TEST(Sage, MeanAggregateZeroesIsolatedNodes) {
+    // Node 1's output row must be zero even when the output matrix is
+    // reused with stale contents.
+    const Csr csr = isolated_node_graph();
     EXPECT_EQ(csr.inv_deg[1], 0.0F);
     Matrix x(3, 2);
     x.at(0, 0) = 4.0F;
@@ -454,6 +435,130 @@ TEST(Sage, GradientCheck) {
     for (const std::size_t i : {0UL, 7UL, 15UL, 23UL}) {
         const double num = numeric_grad(&x.data()[i], objective);
         EXPECT_NEAR(dx.data()[i], num, 5e-2) << "input " << i;
+    }
+}
+
+/// The SAGE layer composed the unfused way from independent parts: a
+/// plain serial mean aggregation, the naive GEMMs, elementwise add, bias
+/// and clamp.
+Matrix sage_reference(ConstMatrixView x, const Csr& csr, const Matrix& w_self,
+                      const Matrix& w_neigh, std::span<const float> bias) {
+    const std::size_t n = csr.num_nodes();
+    Matrix agg(x.rows(), x.cols());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        const std::size_t base = r / n * n;
+        const std::size_t i = r % n;
+        if (csr.degree(i) == 0) {
+            continue;
+        }
+        for (auto e = csr.offsets[i]; e < csr.offsets[i + 1]; ++e) {
+            const float* xj = x.row(
+                base + static_cast<std::size_t>(
+                           csr.neighbors[static_cast<std::size_t>(e)]));
+            for (std::size_t c = 0; c < x.cols(); ++c) {
+                agg.at(r, c) += xj[c];
+            }
+        }
+        const float inv = 1.0F / static_cast<float>(csr.degree(i));
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+            agg.at(r, c) *= inv;
+        }
+    }
+    Matrix y;
+    bg::test::matmul_naive(x, w_self, y);
+    Matrix yn;
+    bg::test::matmul_naive(agg, w_neigh, yn);
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+        for (std::size_t c = 0; c < y.cols(); ++c) {
+            const float sum = y.at(r, c) + yn.at(r, c);
+            y.at(r, c) = std::clamp(sum + bias[c], 0.0F, 6.0F);
+        }
+    }
+    return y;
+}
+
+TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
+    // The fused per-panel layer must reproduce the unfused composition bit
+    // for bit: row counts off the 64-row panel grid, widths off the
+    // 32-wide register tile, hub-skewed and isolated-node graphs, the
+    // on-the-fly 1/deg fallback, strided inputs, stale output buffers, and
+    // any pool size.
+    bg::Rng rng(2024);
+    struct GraphCase {
+        const char* name;
+        Csr csr;
+        std::size_t batch;
+    };
+    Csr single;
+    single.offsets = {0, 0};
+    const GraphCase graphs[] = {
+        {"hub 3x37", hub_graph(37, rng), 3},
+        {"isolated 37x3", isolated_node_graph(), 37},
+        {"line 2x50 (no inv_deg)", line_graph(50), 2},
+        {"single 1x1", single, 1},
+    };
+    std::vector<std::unique_ptr<bg::ThreadPool>> pools;
+    pools.emplace_back();  // null pool: inline
+    for (const std::size_t workers : {1UL, 2UL, 3UL, 8UL}) {
+        pools.push_back(std::make_unique<bg::ThreadPool>(workers));
+    }
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const auto& gc : graphs) {
+        const std::size_t rows = gc.batch * gc.csr.num_nodes();
+        for (const std::size_t in : {1UL, 12UL, 33UL, 48UL}) {
+            // A column block of a wider matrix: a strided input view.
+            const Matrix x_store = random_matrix(rows, in + 3, rng, 2.0F);
+            const ConstMatrixView x = x_store.view().block(0, 1, rows, in);
+            for (const std::size_t width : {24UL, 33UL, 64UL, 512UL}) {
+                SageConv conv(in, width, rng);
+                auto params = conv.params();
+                for (std::size_t j = 0; j < width; ++j) {
+                    params[2].value[j] =
+                        static_cast<float>(rng.next_gaussian()) * 3.0F;
+                }
+                Matrix w_self(in, width);
+                Matrix w_neigh(in, width);
+                std::copy_n(params[0].value, w_self.size(),
+                            w_self.data().data());
+                std::copy_n(params[1].value, w_neigh.size(),
+                            w_neigh.data().data());
+                const Matrix ref = sage_reference(
+                    x, gc.csr, w_self, w_neigh,
+                    std::span<const float>(params[2].value, width));
+                const auto expect_ref = [&](ConstMatrixView got,
+                                            const char* pass,
+                                            std::size_t p) {
+                    for (std::size_t r = 0; r < rows; ++r) {
+                        for (std::size_t c = 0; c < width; ++c) {
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(r, c)),
+                                      std::bit_cast<std::uint32_t>(ref.at(r, c)))
+                                << gc.name << " in=" << in << " out=" << width
+                                << " " << pass << " pool#" << p << " at (" << r
+                                << ", " << c << ")";
+                        }
+                    }
+                };
+                // Stale storage: a NaN-filled buffer two rows taller than
+                // the layer, written through a row-prefix view.
+                Matrix out(rows + 2, width);
+                for (std::size_t p = 0; p < pools.size(); ++p) {
+                    out.fill(nan);
+                    conv.forward_eval(x, gc.csr, gc.batch,
+                                      out.rows_view(0, rows),
+                                      pools[p].get());
+                    expect_ref(out, "eval", p);
+                    for (std::size_t r = rows; r < rows + 2; ++r) {
+                        for (std::size_t c = 0; c < width; ++c) {
+                            ASSERT_TRUE(std::isnan(out.at(r, c)))
+                                << "wrote past the output view";
+                        }
+                    }
+                    const Matrix y =
+                        conv.forward(x, gc.csr, gc.batch, pools[p].get());
+                    expect_ref(y, "train", p);
+                }
+            }
+        }
     }
 }
 
