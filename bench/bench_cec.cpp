@@ -1,20 +1,22 @@
 /// \file bench_cec.cpp
-/// CEC engine shoot-out: per-engine latency (random simulation, BDD,
-/// incremental SAT) versus the portfolio race on every registry design,
-/// for both an equivalent pair (design vs its rewritten twin) and a
-/// refuted pair (design vs a single flipped output).  Shows where each
-/// engine wins and what the race costs over the best single engine.
+/// CEC latency and self-check: per registry design, times random
+/// simulation, incremental SAT and the verification gate
+/// (verify::PortfolioCec) on an equivalent pair (design vs its rewritten
+/// twin) and a refuted pair (design vs a single flipped output).
+///
+/// Exits 1 when the gate does not prove a rewritten pair Equivalent or
+/// refute a flipped pair NotEquivalent, when any engine reports the
+/// opposite definitive verdict, or when a reported counterexample does
+/// not distinguish its pair.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "aig/cec.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "bench_common.hpp"
 #include "opt/standalone.hpp"
 #include "sat/cec_sat.hpp"
-#include "util/parallel.hpp"
 #include "verify/portfolio.hpp"
 
 namespace {
@@ -54,67 +56,92 @@ Aig flip_first_po(const Aig& source) {
 
 struct Row {
     double sim_ms = 0.0;
-    double bdd_ms = 0.0;
     double sat_ms = 0.0;
-    double race_ms = 0.0;
+    double gate_ms = 0.0;
     CecVerdict verdict = CecVerdict::ProbablyEquivalent;
-    bg::verify::Engine winner = bg::verify::Engine::None;
+    bg::verify::Engine engine = bg::verify::Engine::None;
+    bool ok = true;
 };
 
-Row measure(const Aig& a, const Aig& b, bg::ThreadPool& pool) {
+/// True unless `verdict` is definitive and contradicts `expected`, or
+/// `cex` is non-empty and fails to distinguish the pair.
+bool consistent(const Aig& a, const Aig& b, CecVerdict expected,
+                CecVerdict verdict, const std::vector<bool>& cex) {
+    const CecVerdict opposite = expected == CecVerdict::Equivalent
+                                    ? CecVerdict::NotEquivalent
+                                    : CecVerdict::Equivalent;
+    if (verdict == opposite) {
+        return false;
+    }
+    return cex.empty() || bg::sat::resolve_sat_counterexample(a, b, cex) ==
+                              CecVerdict::NotEquivalent;
+}
+
+Row measure(const Aig& a, const Aig& b, CecVerdict expected) {
     Row row;
     {
         const bg::Stopwatch t;
-        (void)bg::aig::check_equivalence(a, b);
+        const auto r = bg::aig::check_equivalence_full(a, b);
         row.sim_ms = t.seconds() * 1e3;
+        row.ok = consistent(a, b, expected, r.verdict, r.counterexample);
     }
     {
         const bg::Stopwatch t;
-        (void)bg::bdd::check_equivalence_bdd(a, b);
-        row.bdd_ms = t.seconds() * 1e3;
-    }
-    {
-        const bg::Stopwatch t;
-        (void)bg::sat::check_equivalence_sat(a, b);
+        const auto r = bg::sat::check_equivalence_sat_full(a, b);
         row.sat_ms = t.seconds() * 1e3;
+        row.ok = consistent(a, b, expected, r.verdict, r.counterexample) &&
+                 row.ok;
     }
     {
-        bg::verify::PortfolioCec prover({}, &pool);
+        bg::verify::PortfolioCec prover;  // fresh: no cache hits
         const bg::Stopwatch t;
         const auto report = prover.check(a, b);
-        row.race_ms = t.seconds() * 1e3;
+        row.gate_ms = t.seconds() * 1e3;
         row.verdict = report.verdict;
-        row.winner = report.engine;
+        row.engine = report.engine;
+        row.ok = report.verdict == expected &&
+                 consistent(a, b, expected, report.verdict,
+                            report.counterexample) &&
+                 row.ok;
     }
     return row;
 }
 
 void print_row(const std::string& label, const Row& r) {
-    std::printf("%-16s %9.2f %9.2f %9.2f %9.2f   %-20s %s\n", label.c_str(),
-                r.sim_ms, r.bdd_ms, r.sat_ms, r.race_ms,
-                to_string(r.verdict).c_str(),
-                bg::verify::to_string(r.winner).c_str());
+    std::printf("%-16s %9.2f %9.2f %9.2f   %-20s %-6s %s\n", label.c_str(),
+                r.sim_ms, r.sat_ms, r.gate_ms, to_string(r.verdict).c_str(),
+                bg::verify::to_string(r.engine).c_str(),
+                r.ok ? "ok" : "FAIL");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     const auto scale = bgbench::Scale::from_args(argc, argv);
-    scale.banner("CEC engines: sim vs BDD vs SAT vs portfolio race");
+    scale.banner("CEC: sim vs SAT vs the verification gate");
 
     const std::vector<std::string> names = {"b07", "b08", "b09", "b10",
                                             "b11", "b12", "c2670", "c5315"};
-    bg::ThreadPool pool(3);
-
-    std::printf("%-16s %9s %9s %9s %9s   %-20s %s\n", "design", "sim ms",
-                "bdd ms", "sat ms", "race ms", "verdict", "winner");
+    std::printf("%-16s %9s %9s %9s   %-20s %-6s %s\n", "design", "sim ms",
+                "sat ms", "gate ms", "verdict", "stage", "check");
+    bool all_ok = true;
     for (const auto& name : names) {
         const Aig original = scale.design(name);
         Aig rewritten = original;
         (void)bg::opt::standalone_pass(rewritten, bg::opt::OpKind::Rewrite);
-        print_row(name, measure(original, rewritten, pool));
-        print_row(name + " (flip)", measure(original, flip_first_po(original),
-                                            pool));
+        const Row eq = measure(original, rewritten, CecVerdict::Equivalent);
+        print_row(name, eq);
+        const Row neq = measure(original, flip_first_po(original),
+                                CecVerdict::NotEquivalent);
+        print_row(name + " (flip)", neq);
+        all_ok = all_ok && eq.ok && neq.ok;
     }
+    if (!all_ok) {
+        std::printf("\nFAIL: a pair got the wrong verdict or a"
+                    " counterexample that does not distinguish it\n");
+        return 1;
+    }
+    std::printf("\nevery rewritten pair proven equivalent, every flipped"
+                " pair refuted with a distinguishing counterexample\n");
     return 0;
 }

@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "aig/simulation.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "circuits/registry.hpp"
 #include "core/dataset.hpp"
 #include "core/model.hpp"
@@ -224,17 +223,6 @@ void BM_SatCec(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SatCec);
-
-void BM_BddCec(benchmark::State& state) {
-    const auto original = design();
-    auto optimized = original;
-    (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            bg::bdd::check_equivalence_bdd(original, optimized));
-    }
-}
-BENCHMARK(BM_BddCec);
 
 void BM_LutMapping(benchmark::State& state) {
     const auto g = design();

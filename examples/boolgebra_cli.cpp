@@ -87,7 +87,6 @@
 #include "opt/objective.hpp"
 #include "opt/orchestrate.hpp"
 #include "opt/standalone.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "sat/cec_sat.hpp"
 #include "util/progress.hpp"
 #include "util/stats.hpp"
@@ -118,7 +117,7 @@ int usage() {
         "           [--timeout SEC] [--token T] [--send-spec] [--progress]\n"
         "  client   <host:port> stats|shutdown [--token T]\n"
         "  apply    <design> --decisions d.csv [-o out]\n"
-        "  cec      <design1> <design2> [--engine sim|bdd|sat|portfolio]\n"
+        "  cec      <design1> <design2> [--engine sim|sat|portfolio]\n"
         "  map      <design> [-k K]\n"
         "  convert  <in> <out>\n"
         "  list\n"
@@ -435,7 +434,7 @@ bg::core::BoolGebraModel make_cli_model(
 }
 
 /// Table cell for a job's verification outcome: "verdict@engine", e.g.
-/// "equivalent@bdd" or "NOT-equivalent@sim".
+/// "equivalent@sat" or "NOT-equivalent@sim".
 std::string verify_cell(
     const std::optional<bg::verify::VerifyReport>& report) {
     if (!report) {
@@ -960,10 +959,10 @@ int cmd_apply(Aig g, std::vector<std::string> args) {
     return 0;
 }
 
-/// Standalone equivalence check.  Default races all three engines via the
-/// portfolio; --engine pins one back end.  Exit codes: 0 = proven
-/// equivalent, 1 = refuted (counterexample printed), 3 = undecided within
-/// the budgets.
+/// Standalone equivalence check.  Default runs the portfolio pipeline
+/// (simulation, SAT, random simulation); --engine pins one back end.
+/// Exit codes: 0 = proven equivalent, 1 = refuted (counterexample
+/// printed), 3 = undecided within the budgets.
 int cmd_cec(std::vector<std::string> args) {
     const auto engine_arg = flag_value(args, "--engine");
     if (args.size() != 2) {
@@ -990,11 +989,6 @@ int cmd_cec(std::vector<std::string> args) {
         report.engine = bg::verify::Engine::Simulation;
         report.counterexample = std::move(r.counterexample);
         report.seconds = watch.seconds();
-    } else if (engine == "bdd") {
-        const bg::Stopwatch watch;
-        report.verdict = bg::bdd::check_equivalence_bdd(a, b);
-        report.engine = bg::verify::Engine::Bdd;
-        report.seconds = watch.seconds();
     } else if (engine == "sat") {
         const bg::Stopwatch watch;
         auto r = bg::sat::check_equivalence_sat_full(a, b);
@@ -1008,7 +1002,7 @@ int cmd_cec(std::vector<std::string> args) {
     } else {
         std::fprintf(stderr,
                      "error: unknown engine '%s' "
-                     "(sim, bdd, sat or portfolio)\n",
+                     "(sim, sat or portfolio)\n",
                      engine.c_str());
         return 2;
     }

@@ -87,8 +87,7 @@ CecResult check_equivalence_full(const Aig& a, const Aig& b,
 
     const auto start = std::chrono::steady_clock::now();
     const auto stopped = [&] {
-        if (opts.cancel != nullptr &&
-            opts.cancel->load(std::memory_order_relaxed)) {
+        if (opts.cancel != nullptr && opts.cancel->should_stop()) {
             return true;
         }
         if (opts.timeout_seconds > 0.0) {

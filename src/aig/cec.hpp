@@ -9,22 +9,23 @@
 /// construction (window-local truth-table equality), so the random mode is
 /// a safety net, not the primary argument.
 ///
-/// This engine is one of three interchangeable CEC back ends (simulation
-/// here, BDD in bdd/cec_bdd.hpp, SAT in sat/cec_sat.hpp) raced by
-/// bg::verify::PortfolioCec; the `cancel`/`timeout_seconds` options are
-/// the cooperative early-stop hooks the portfolio drives.
+/// This engine and the SAT one (sat/cec_sat.hpp) are the two engines of
+/// bg::verify::PortfolioCec's pipeline: exhaustive or pooled-seed
+/// simulation first, SAT next, random simulation only when SAT is
+/// undecided.  The `cancel`/`timeout_seconds` options carry the
+/// pipeline's cancel token and the rest of its deadline.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "util/cancel.hpp"
 
 namespace bg::aig {
 
 enum class CecVerdict {
-    Equivalent,          ///< proven (exhaustive simulation / BDD / SAT)
+    Equivalent,          ///< proven (exhaustive simulation / SAT)
     ProbablyEquivalent,  ///< no counterexample within the budget
     NotEquivalent,       ///< counterexample found (definitive)
 };
@@ -36,13 +37,15 @@ struct CecOptions {
     unsigned exhaustive_pi_limit = 14;
     /// Random words per PI in the fallback (64 patterns each).  Honored
     /// exactly: the budget is split into chunks to bound peak memory, but
-    /// precisely this many words are simulated overall.
+    /// precisely this many words are simulated overall.  0 simulates only
+    /// the seed patterns (the portfolio prover's first stage).
     std::size_t random_words = 2048;
     std::uint64_t seed = 0xB001'6EB2A;
-    /// Cooperative cancellation: checked between simulation chunks; a set
-    /// flag degrades the verdict to ProbablyEquivalent.  The pointee must
-    /// outlive the call (the portfolio prover owns it).
-    const std::atomic<bool>* cancel = nullptr;
+    /// Cooperative cancellation: the token (its flag or its deadline) is
+    /// checked between simulation chunks; a stopped token degrades the
+    /// verdict to ProbablyEquivalent instead of throwing.  The pointee
+    /// must outlive the call.
+    const bg::CancelToken* cancel = nullptr;
     /// Wall-clock budget in seconds (0 = unlimited), checked at the same
     /// points as `cancel`.
     double timeout_seconds = 0.0;

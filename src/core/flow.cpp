@@ -302,11 +302,16 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         (void)evaluate_decisions(design, decisions[res.selected[best_idx]],
                                  cfg.opt, obj, &best_graph, &intra);
         if (ctx.prover != nullptr) {
-            res.verification = ctx.prover->check(design, best_graph);
+            res.verification =
+                ctx.prover->check(design, best_graph, cfg.opt.cancel);
         } else {
-            verify::PortfolioCec prover(cfg.verify_opts, ctx.pool);
-            res.verification = prover.check(design, best_graph);
+            verify::PortfolioCec prover(cfg.verify_opts);
+            res.verification =
+                prover.check(design, best_graph, cfg.opt.cancel);
         }
+        // A proof cut short by the token is a cancelled job, not an
+        // undecided verdict.
+        poll_cancel(cfg.opt.cancel, "run_flow proof");
     }
     return res;
 }

@@ -49,7 +49,7 @@ struct FlowConfig {
     /// the production gate against orchestration bugs, not a per-sample
     /// cost.
     bool verify = false;
-    /// Engine budgets for the verification gate (ignored when the caller
+    /// Budgets for the verification gate (ignored when the caller
     /// supplies FlowContext::prover, which carries its own options).
     verify::PortfolioOptions verify_opts;
     /// Intra-design parallelism: when >= 2, every committed or evaluated
@@ -169,10 +169,10 @@ struct FlowContext {
     /// top-k evaluation, verification) runs here; null runs them inline
     /// on the calling thread.
     ThreadPool* pool = nullptr;
-    /// Shared portfolio prover for FlowConfig::verify (the FlowService
-    /// passes its long-lived instance so the verdict cache spans jobs).
-    /// Null + verify => run_flow builds a transient one from
-    /// cfg.verify_opts on the same pool.
+    /// Shared prover for FlowConfig::verify (the FlowService passes its
+    /// long-lived instance so the verdict cache spans jobs).  Null +
+    /// verify => run_flow builds a transient one from cfg.verify_opts.
+    /// The proof runs on the calling thread under cfg.opt.cancel.
     verify::PortfolioCec* prover = nullptr;
 };
 

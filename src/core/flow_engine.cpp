@@ -132,12 +132,14 @@ DesignFlowResult run_design_flow(const DesignJob& job,
                 : 1.0;
         if (flow_cfg.verify) {
             // One end-to-end proof of everything that was committed.
+            const bg::CancelToken* token = round_cfg.opt.cancel;
             if (prover != nullptr) {
-                res.verification = prover->check(job.design, current);
+                res.verification = prover->check(job.design, current, token);
             } else {
-                verify::PortfolioCec local(flow_cfg.verify_opts, pool);
-                res.verification = local.check(job.design, current);
+                verify::PortfolioCec local(flow_cfg.verify_opts);
+                res.verification = local.check(job.design, current, token);
             }
+            poll_cancel(token, "run_design_flow proof");
         }
         if (control != nullptr && control->want_graph) {
             res.final_graph = std::make_shared<const Aig>(std::move(current));

@@ -117,7 +117,7 @@ struct BatchFlowResult {
     std::size_t total_samples = 0;
     /// Verification tally (all zero when FlowConfig::verify is off):
     /// verified = proven equivalent, refuted = counterexample found,
-    /// unknown = every engine degraded within its budget.
+    /// unknown = every stage degraded within its budget.
     std::size_t jobs_verified = 0;
     std::size_t jobs_refuted = 0;
     std::size_t jobs_unknown = 0;
@@ -137,7 +137,9 @@ struct BatchFlowResult {
 /// (null + verify => a transient prover is built from flow.verify_opts).
 /// For rounds > 1 the committed result is proven end-to-end once — final
 /// graph vs input design — instead of per round; a single round verifies
-/// inside run_flow.
+/// inside run_flow.  The proof polls the round's cancel token, and a proof
+/// the token stopped raises CancelledError rather than reporting
+/// ProbablyEquivalent.
 /// `control` (optional) carries the cooperative cancel token, the
 /// per-round progress callback, and the want_graph switch; see JobControl.
 DesignFlowResult run_design_flow(const DesignJob& job,

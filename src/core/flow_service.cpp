@@ -37,10 +37,10 @@ FlowService::FlowService(ServiceConfig cfg, ModelSnapshot model)
     latencies_.assign(cfg_.latency_window, 0.0);
     if (cfg_.flow.verify) {
         // One shared prover for the service lifetime: its verdict cache
-        // spans jobs, and it races engines on the same pool the serving
-        // tasks run on (for_each is nesting-safe).
-        prover_ = std::make_unique<verify::PortfolioCec>(
-            cfg_.flow.verify_opts, &pool_);
+        // and counterexample pool span jobs.  Each check runs on the
+        // serving task that asks for it.
+        prover_ =
+            std::make_unique<verify::PortfolioCec>(cfg_.flow.verify_opts);
     }
     // The default tenant always exists: pre-tenancy submit() maps to it.
     auto def = std::make_unique<Tenant>();

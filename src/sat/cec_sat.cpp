@@ -52,8 +52,7 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
     }
     if (opts.cancel != nullptr || opts.timeout_seconds > 0.0) {
         solver.set_interrupt([cancel = opts.cancel, deadline]() {
-            if (cancel != nullptr &&
-                cancel->load(std::memory_order_relaxed)) {
+            if (cancel != nullptr && cancel->should_stop()) {
                 return true;
             }
             return Clock::now() >= deadline;

@@ -15,12 +15,17 @@
 /// rejection: a counterexample that fails simulation degrades the verdict
 /// to ProbablyEquivalent (after a bounded re-solve with that input
 /// pattern blocked), it never throws.
+///
+/// The proving stage of bg::verify::PortfolioCec's pipeline, between
+/// exhaustive or pooled-seed simulation and random simulation;
+/// `cancel`/`timeout_seconds` carry the pipeline's cancel token and the
+/// rest of its deadline.
 
-#include <atomic>
 #include <vector>
 
 #include "aig/cec.hpp"
 #include "sat/cnf.hpp"
+#include "util/cancel.hpp"
 
 namespace bg::sat {
 
@@ -34,16 +39,17 @@ struct SatCecOptions {
     /// by simulation — is blocked and the output re-solved at most this
     /// many times before the verdict degrades to ProbablyEquivalent.
     int max_spurious_retries = 1;
-    /// Cooperative cancellation, polled inside the solver; a set flag
-    /// degrades the verdict to ProbablyEquivalent.  Must outlive the call.
-    const std::atomic<bool>* cancel = nullptr;
+    /// Cooperative cancellation, polled inside the solver; a stopped token
+    /// (flag or deadline) degrades the verdict to ProbablyEquivalent
+    /// instead of throwing.  Must outlive the call.
+    const bg::CancelToken* cancel = nullptr;
     /// Wall-clock budget in seconds (0 = unlimited).
     double timeout_seconds = 0.0;
     /// Approximate heap cap for the solver instance (miter CNF + learned
     /// clauses, which this solver never deletes); 0 = unlimited.  A hard
     /// miter that crosses the cap degrades to ProbablyEquivalent
     /// (SatCecStats::memory_limited) instead of growing without bound —
-    /// the per-engine budget the multi-tenant server relies on.
+    /// the solver budget the multi-tenant server relies on.
     std::size_t max_memory_bytes = 512u << 20;
 };
 

@@ -79,27 +79,4 @@ MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
     return enc;
 }
 
-MiterResult prove_equivalence(const aig::Aig& a, const aig::Aig& b,
-                              std::int64_t conflict_budget) {
-    Solver solver;
-    const auto enc = encode_miter(solver, a, b);
-    const auto& map_a = enc.map_a;
-
-    // OR of all xors asserted true: "some output pair differs".
-    if (!solver.add_clause(enc.diff_lits)) {
-        // Immediately unsatisfiable (e.g. zero POs): proven equivalent.
-        return MiterResult{Result::Unsat, {}};
-    }
-
-    MiterResult out;
-    out.result = solver.solve({}, conflict_budget);
-    if (out.result == Result::Sat) {
-        out.counterexample.resize(a.num_pis());
-        for (std::size_t i = 0; i < a.num_pis(); ++i) {
-            out.counterexample[i] = solver.model_value(map_a[a.pi(i)]);
-        }
-    }
-    return out;
-}
-
 }  // namespace bg::sat

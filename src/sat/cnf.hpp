@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file cnf.hpp
-/// Tseitin encoding of AIGs into CNF and miter construction for SAT-based
-/// combinational equivalence checking (what ABC's `cec` does).
+/// Tseitin encoding of AIGs into CNF and miter construction for the
+/// incremental SAT equivalence check in sat/cec_sat.hpp (what ABC's `cec`
+/// does).
 
 #include <vector>
 
@@ -23,21 +24,12 @@ Lit lit_for(const std::vector<Var>& mapping, aig::Lit l);
 /// encode hot path).
 Lit lit_for(const std::vector<Var>& mapping, aig::NodeRef r);
 
-/// Outcome of a miter proof.
-struct MiterResult {
-    Result result = Result::Unknown;
-    /// PI assignment witnessing inequivalence (valid when result == Sat).
-    std::vector<bool> counterexample;
-};
-
 /// A miter of two AIGs encoded into one solver: both networks share the
 /// PI variables, and each PO pair i carries a selector literal with
 /// diff_lits[i] <-> (po_a[i] XOR po_b[i]).  Nothing is asserted about the
-/// selectors themselves, so the caller chooses the proof style:
-///  * assert OR(diff_lits) and solve once (prove_equivalence), or
-///  * solve per output under assumption diff_lits[i] on the same solver
-///    instance, keeping learned clauses across outputs (the incremental
-///    SAT CEC in sat/cec_sat.cpp).
+/// selectors themselves: the SAT CEC solves per output under the
+/// assumption diff_lits[i] on the same solver instance, keeping learned
+/// clauses across outputs.
 struct MiterEncoding {
     std::vector<Var> map_a;      ///< AIG var -> SAT var for `a`
     std::vector<Var> map_b;      ///< AIG var -> SAT var for `b`
@@ -47,11 +39,5 @@ struct MiterEncoding {
 /// Encode the shared-input miter of two interface-identical AIGs.
 MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
                            const aig::Aig& b);
-
-/// Prove or refute PO-wise equivalence of two AIGs with identical
-/// interfaces: builds XOR miters over shared inputs and asks the solver
-/// whether any output pair can differ.  Unsat == proven equivalent.
-MiterResult prove_equivalence(const aig::Aig& a, const aig::Aig& b,
-                              std::int64_t conflict_budget = -1);
 
 }  // namespace bg::sat

@@ -297,7 +297,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
             }
             if (memory_limit_ != 0 && mem_bytes_ > memory_limit_) {
                 // The learned-clause database (never reduced in this
-                // solver) crossed the per-engine budget: degrade, don't
+                // solver) crossed the memory budget: degrade, don't
                 // grow — the caller treats Unknown exactly like an
                 // exhausted conflict budget.
                 memory_limit_hit_ = true;

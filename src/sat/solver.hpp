@@ -3,7 +3,8 @@
 /// \file solver.hpp
 /// A compact CDCL SAT solver (two-watched literals, 1UIP clause learning,
 /// VSIDS-style activities, phase saving, geometric restarts) — the engine
-/// behind SAT-based combinational equivalence checking.  Deliberately
+/// behind the SAT stage of the equivalence-checking pipeline
+/// (sat/cec_sat.hpp, verify/portfolio.hpp).  Deliberately
 /// minimal: no clause-database reduction or preprocessing; miters from
 /// this library's circuit sizes are comfortably in range.
 
@@ -50,8 +51,8 @@ public:
     /// Cooperative interruption: `cb` is polled every few hundred
     /// conflicts (and at restarts); returning true makes the current and
     /// any later solve() return Result::Unknown.  Pass nullptr to clear.
-    /// The portfolio prover uses this for early-cancel and wall-clock
-    /// timeouts.
+    /// The SAT CEC uses this for the caller's cancel token and wall-clock
+    /// deadline.
     void set_interrupt(std::function<bool()> cb) {
         interrupt_ = std::move(cb);
     }

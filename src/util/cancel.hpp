@@ -11,10 +11,13 @@
 ///    `SubmitOptions::timeout_seconds`.
 ///
 /// Both are plain atomics so workers may poll from any thread without a
-/// lock.  Long-running loops (orchestrate node walks, run_flow stage
-/// boundaries, SAT conflict loops) call `throw_if_stopped`, which raises
-/// CancelledError; the serving layer maps the exception's reason onto a
-/// definite JobStatus.  Polling is strictly observational: a null token
+/// lock.  Cancel points (orchestrate node walks, run_flow stage
+/// boundaries, the poll right after a CEC proof) call `throw_if_stopped`,
+/// which raises CancelledError; the serving layer maps the exception's
+/// reason onto a definite JobStatus.  The CEC engines only read
+/// `should_stop` (between simulation chunks, every 256 SAT conflicts) and
+/// degrade to ProbablyEquivalent, leaving the raise to the next cancel
+/// point.  Polling is strictly observational: a null token
 /// (the default everywhere) compiles down to a pointer test, keeping
 /// cancel-free runs bit-identical to the pre-cancellation code paths.
 

@@ -1,7 +1,7 @@
 #include "verify/portfolio.hpp"
 
-#include <array>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -30,8 +30,6 @@ std::string to_string(Engine e) {
             return "none";
         case Engine::Simulation:
             return "sim";
-        case Engine::Bdd:
-            return "bdd";
         case Engine::Sat:
             return "sat";
         case Engine::Cache:
@@ -44,8 +42,8 @@ std::size_t PortfolioCec::CacheKeyHash::operator()(const CacheKey& k) const {
     return static_cast<std::size_t>(mix64(k.fp_a ^ mix64(k.fp_b)));
 }
 
-PortfolioCec::PortfolioCec(PortfolioOptions opts, ThreadPool* pool)
-    : opts_(std::move(opts)), pool_(pool) {}
+PortfolioCec::PortfolioCec(PortfolioOptions opts, ThreadPool* /*pool*/)
+    : opts_(std::move(opts)) {}
 
 bool PortfolioCec::cache_get(const CacheKey& key, VerifyReport& out) {
     cache_lookups_.fetch_add(1, std::memory_order_relaxed);
@@ -115,7 +113,8 @@ void PortfolioCec::pool_counterexample(std::size_t num_pis,
     pool.push_back(cex);
 }
 
-VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b) {
+VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
+                                 const CancelToken* cancel) {
     BG_EXPECTS(a.num_pis() == b.num_pis(),
                "portfolio CEC requires matching PI counts");
     BG_EXPECTS(a.num_pos() == b.num_pos(),
@@ -146,95 +145,70 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b) {
         }
     }
 
-    // Counterexample-guided simulation: earlier refutations with this PI
-    // width are simulated before any random budget (lifetime spans the
-    // race below — for_each joins every engine before `seeds` dies).
-    const std::vector<std::vector<bool>> seeds =
-        opts_.cex_pool_capacity > 0 ? seed_patterns(a.num_pis())
-                                    : std::vector<std::vector<bool>>{};
-
-    // The race: one shared cancel flag, first definitive verdict wins via
-    // CAS and cancels the others.  Engine outcomes land in per-engine
-    // slots; for_each joins every iteration before we read them.
-    std::atomic<bool> cancel{false};
-    std::atomic<int> winner{-1};
-    struct Outcome {
-        aig::CecVerdict verdict = aig::CecVerdict::ProbablyEquivalent;
-        std::vector<bool> counterexample;
+    // The rest of the single deadline for the next stage (0 = unlimited
+    // without one); nullopt skips the stage once the time is gone or the
+    // token has stopped — a non-positive timeout would read as
+    // "unlimited" to the engines.
+    const auto stage_budget = [&]() -> std::optional<double> {
+        if (cancel != nullptr && cancel->should_stop()) {
+            return std::nullopt;
+        }
+        if (opts_.timeout_seconds <= 0.0) {
+            return 0.0;
+        }
+        const double left = opts_.timeout_seconds - elapsed();
+        if (left <= 0.0) {
+            return std::nullopt;
+        }
+        return left;
     };
-    std::array<Outcome, 3> outcomes;
-    constexpr std::array<Engine, 3> kEngines = {
-        Engine::Simulation, Engine::Bdd, Engine::Sat};
-
-    const auto engine_timeout = [this](double own) {
-        return own > 0.0 ? own : opts_.engine_timeout_seconds;
+    const auto decide = [&](Engine engine, auto result) {
+        if (!is_definitive(result.verdict)) {
+            return false;
+        }
+        report.verdict = result.verdict;
+        report.engine = engine;
+        report.counterexample = std::move(result.counterexample);
+        return true;
     };
-
-    const auto run_engine = [&](std::size_t idx) {
-        if (cancel.load(std::memory_order_relaxed)) {
-            return;  // raced after a definitive verdict: nothing to do
+    const auto simulate = [&](std::size_t random_words,
+                              const std::vector<std::vector<bool>>* seeds) {
+        const auto budget = stage_budget();
+        if (!budget) {
+            return false;
         }
-        Outcome& out = outcomes[idx];
-        switch (kEngines[idx]) {
-            case Engine::Simulation: {
-                aig::CecOptions o = opts_.sim;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                if (!seeds.empty() && o.seed_patterns == nullptr) {
-                    o.seed_patterns = &seeds;
-                }
-                auto r = aig::check_equivalence_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            case Engine::Bdd: {
-                bdd::BddCecOptions o = opts_.bdd;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                auto r = bdd::check_equivalence_bdd_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            case Engine::Sat: {
-                sat::SatCecOptions o = opts_.sat;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                auto r = sat::check_equivalence_sat_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            default:
-                break;
+        aig::CecOptions o = opts_.sim;
+        o.random_words = random_words;
+        o.seed_patterns = seeds;
+        o.cancel = cancel;
+        o.timeout_seconds = *budget;
+        return decide(Engine::Simulation,
+                      aig::check_equivalence_full(a, b, o));
+    };
+    const auto prove_sat = [&] {
+        const auto budget = stage_budget();
+        if (!budget) {
+            return false;
         }
-        if (is_definitive(out.verdict)) {
-            int expected = -1;
-            if (winner.compare_exchange_strong(
-                    expected, static_cast<int>(idx),
-                    std::memory_order_acq_rel)) {
-                cancel.store(true, std::memory_order_relaxed);
-            }
-        }
+        sat::SatCecOptions o = opts_.sat;
+        o.cancel = cancel;
+        o.timeout_seconds = *budget;
+        return decide(Engine::Sat, sat::check_equivalence_sat_full(a, b, o));
     };
 
-    if (pool_ != nullptr) {
-        // Nesting-safe: the caller participates, so this works even from
-        // inside a job on the same pool (serving threads verify in-line).
-        pool_->for_each(kEngines.size(), run_engine);
-    } else {
-        for (std::size_t i = 0; i < kEngines.size(); ++i) {
-            run_engine(i);  // sequential; cancel short-circuits the rest
-        }
+    // Earlier refutations with this PI width are the first stage's only
+    // patterns past the exhaustive bound (caller-supplied seeds win).
+    std::vector<std::vector<bool>> pooled;
+    const std::vector<std::vector<bool>>* seeds = opts_.sim.seed_patterns;
+    if (seeds == nullptr && opts_.cex_pool_capacity > 0) {
+        pooled = seed_patterns(a.num_pis());
+        seeds = &pooled;
     }
-
-    const int w = winner.load(std::memory_order_acquire);
-    if (w >= 0) {
-        report.verdict = outcomes[static_cast<std::size_t>(w)].verdict;
-        report.engine = kEngines[static_cast<std::size_t>(w)];
-        report.counterexample = std::move(
-            outcomes[static_cast<std::size_t>(w)].counterexample);
+    // SAT before random simulation (see portfolio.hpp); the last stage
+    // skips the seeds the first one already simulated.
+    const bool decided = simulate(0, seeds) || prove_sat() ||
+                         simulate(opts_.sim.random_words, nullptr);
+    if (decided) {
         if (use_cache) {
             cache_put(key, report);
         }
@@ -242,10 +216,6 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b) {
             !report.counterexample.empty()) {
             pool_counterexample(a.num_pis(), report.counterexample);
         }
-    } else {
-        // Every engine degraded within its budget: honest "probably".
-        report.verdict = aig::CecVerdict::ProbablyEquivalent;
-        report.engine = Engine::None;
     }
     report.seconds = elapsed();
     return report;

@@ -1,18 +1,23 @@
 #pragma once
 
 /// \file portfolio.hpp
-/// Portfolio combinational equivalence checking: race the three CEC back
-/// ends — random simulation (aig/cec.hpp), BDD (bdd/cec_bdd.hpp) and SAT
-/// (sat/cec_sat.hpp) — and take the first *definitive* verdict.
+/// Combinational equivalence checking as one sequential pipeline on the
+/// calling thread:
 ///
-/// The engines have complementary strengths: simulation refutes buggy
-/// rewrites in microseconds but can only ever prove "probably equivalent"
-/// past the exhaustive bound; BDDs prove small-to-medium control logic
-/// instantly but blow up on multipliers; SAT handles what BDDs cannot but
-/// pays per-output solving cost.  Racing all three under one cancel flag
-/// gets the best of each: the first Equivalent / NotEquivalent wins and
-/// cancels the rest; if every engine degrades within its budget the
-/// portfolio reports ProbablyEquivalent honestly (never upgraded).
+///  1. the verdict cache;
+///  2. simulation without a random budget — the exhaustive proof for
+///     designs with at most `sim.exhaustive_pi_limit` PIs, otherwise only
+///     the pooled counterexamples of earlier refutations (aig/cec.hpp);
+///  3. incremental SAT (sat/cec_sat.hpp);
+///  4. random simulation, only when SAT is undecided;
+///  5. the cache and counterexample-pool updates.
+///
+/// Random simulation comes after SAT because flow results are equivalent
+/// by construction: run first, it only refutes what SAT refutes anyway
+/// and adds its full budget to every proof.  Every stage shares one
+/// wall-clock deadline (`timeout_seconds`) and the caller's cancel token;
+/// a stage whose time is gone or whose token has stopped is skipped, and
+/// the check reports ProbablyEquivalent honestly (never upgraded).
 ///
 /// Verdicts for structurally identical queries are served from a small
 /// FIFO cache keyed on the pair of structural fingerprints
@@ -31,17 +36,19 @@
 #include <vector>
 
 #include "aig/cec.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "sat/cec_sat.hpp"
-#include "util/parallel.hpp"
+#include "util/cancel.hpp"
+
+namespace bg {
+class ThreadPool;
+}  // namespace bg
 
 namespace bg::verify {
 
-/// Which engine produced a verdict.
+/// Which stage produced a verdict.
 enum class Engine {
-    None,        ///< cache miss degraded / zero-engine edge cases
-    Simulation,  ///< word-parallel random or exhaustive simulation
-    Bdd,         ///< canonical ROBDD comparison
+    None,        ///< every stage degraded, was skipped or was cancelled
+    Simulation,  ///< word-parallel exhaustive, seeded or random simulation
     Sat,         ///< incremental SAT on the shared miter
     Cache,       ///< served from the result cache
 };
@@ -49,58 +56,58 @@ enum class Engine {
 std::string to_string(Engine e);
 
 struct PortfolioOptions {
-    /// Per-engine budgets.  Each engine's own cancel pointer and
-    /// timeout_seconds are overwritten by the portfolio (it owns the race
-    /// flag); a zero per-engine timeout inherits engine_timeout_seconds.
+    /// Stage budgets.  Each engine's cancel and timeout_seconds are
+    /// overwritten by the pipeline (the caller's token and the rest of
+    /// `timeout_seconds`); the pipeline sets sim.random_words to 0 for its
+    /// first simulation stage and uses it as given for the last.
     aig::CecOptions sim;
-    bdd::BddCecOptions bdd;
     sat::SatCecOptions sat;
-    /// Default wall-clock budget per engine, in seconds (0 = unlimited).
-    double engine_timeout_seconds = 30.0;
+    /// Wall-clock budget of the whole check, in seconds (0 = unlimited).
+    double timeout_seconds = 30.0;
     /// Serve repeated structural-fingerprint pairs from the cache.
     bool use_cache = true;
     /// FIFO capacity of the verdict cache.
     std::size_t cache_capacity = 4096;
     /// Per-PI-count capacity of the cross-job counterexample pool (0
-    /// disables pooling).  Every definitive refutation's witness — SAT,
-    /// BDD or simulation, fresh or cache-served — is pooled and fed back
-    /// into the simulation engine as seed patterns on later jobs with the
-    /// same PI count, so a recurring bug is refuted by simulation before
-    /// any random budget is spent.
+    /// disables pooling).  Every definitive refutation's witness — SAT or
+    /// simulation, fresh or cache-served — is pooled and fed back into the
+    /// first simulation stage as seed patterns on later jobs with the same
+    /// PI count, so a recurring bug is refuted before SAT runs.
     std::size_t cex_pool_capacity = 64;
 };
 
 /// Outcome of one portfolio check.
 struct VerifyReport {
     aig::CecVerdict verdict = aig::CecVerdict::ProbablyEquivalent;
-    /// Engine that produced the verdict (Cache when served from cache).
+    /// Stage that produced the verdict (Cache when served from cache).
     Engine engine = Engine::None;
     /// Wall-clock seconds spent inside check().
     double seconds = 0.0;
     bool from_cache = false;
     /// Differing PI assignment; non-empty exactly when the verdict is
-    /// NotEquivalent and the winning engine produced a witness (cached
+    /// NotEquivalent and the deciding stage produced a witness (cached
     /// refutations keep the witness from the original run).
     std::vector<bool> counterexample;
 };
 
-/// Thread-safe portfolio prover.  One instance is meant to live as long
-/// as the serving process (FlowService owns one); concurrent check()
-/// calls are safe and share the verdict cache.
+/// Thread-safe prover.  One instance is meant to live as long as the
+/// serving process (FlowService owns one); concurrent check() calls are
+/// safe and share the verdict cache and the counterexample pool.
 class PortfolioCec {
 public:
-    /// `pool` is the shared worker pool used to race the engines; pass
-    /// nullptr to run them sequentially (sim, then BDD, then SAT — still
-    /// short-circuiting on the first definitive verdict).  The pool's
-    /// for_each is nesting-safe, so check() may be called from inside a
-    /// job running on the same pool.
+    /// The pool is ignored: every check runs on the calling thread.  The
+    /// parameter remains only so existing callers that pass one still
+    /// compile, and will be removed.
     explicit PortfolioCec(PortfolioOptions opts = {},
                           ThreadPool* pool = nullptr);
 
-    /// Race the engines on the (a, b) miter.  Throws ContractViolation
-    /// when the PI/PO interfaces differ; never throws from a verdict
-    /// path.
-    VerifyReport check(const aig::Aig& a, const aig::Aig& b);
+    /// Run the pipeline on the (a, b) miter.  A stopped `cancel` token
+    /// (flag or deadline) skips the remaining stages and degrades the
+    /// verdict to ProbablyEquivalent; it never throws — callers poll the
+    /// token afterwards.  Throws ContractViolation when the PI/PO
+    /// interfaces differ; never throws from a verdict path.
+    VerifyReport check(const aig::Aig& a, const aig::Aig& b,
+                       const CancelToken* cancel = nullptr);
 
     std::size_t cache_lookups() const {
         return cache_lookups_.load(std::memory_order_relaxed);
@@ -138,7 +145,6 @@ private:
                              const std::vector<bool>& cex);
 
     PortfolioOptions opts_;
-    ThreadPool* pool_ = nullptr;
 
     mutable std::mutex cache_mu_;
     std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;

@@ -112,6 +112,33 @@ TEST(SatCec, OrchestrationProvenOnWideDesign) {
     EXPECT_EQ(check_equivalence_sat(original, g), CecVerdict::Equivalent);
 }
 
+class MixedOrchestration : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MixedOrchestration, SimulationAndSatBothProve) {
+    // Exhaustive simulation and SAT must both prove a small design
+    // equivalent to its random rw/rs/rf orchestration.
+    const std::uint64_t seed = GetParam();
+    const Aig original = bg::test::redundant_aig(8, 35, 3, seed);
+    Aig optimized = original;
+    bg::Rng rng(seed * 7 + 1);
+    bg::opt::DecisionVector d(optimized.num_slots(), bg::opt::OpKind::None);
+    for (Var v = 0; v < optimized.num_slots(); ++v) {
+        if (optimized.is_and(v)) {
+            d[v] = bg::opt::op_from_index(static_cast<int>(rng.next_below(3)));
+        }
+    }
+    (void)bg::opt::orchestrate(optimized, d);
+
+    EXPECT_EQ(check_equivalence(original, optimized),
+              CecVerdict::Equivalent);
+    EXPECT_EQ(check_equivalence_sat(original, optimized),
+              CecVerdict::Equivalent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MixedOrchestration,
+                         ::testing::Range(std::uint64_t{1},
+                                          std::uint64_t{9}));
+
 TEST(SatCec, CounterexampleIsValidated) {
     // Single differing minterm among 2^20 — random simulation will
     // essentially never hit it, SAT finds it instantly.

@@ -1,11 +1,13 @@
 /// \file test_verify_portfolio.cpp
-/// The portfolio verification gate: engine-agreement matrix across
-/// sim/BDD/SAT/portfolio, degenerate interfaces (zero POs, constant POs,
-/// mismatched PI/PO preconditions), counterexample round-trips, the
-/// spurious-SAT-counterexample no-throw contract, exact simulation budget
-/// accounting, the verdict cache, and verification wired through
-/// run_flow / FlowEngine / FlowService.  Runs under the TSan CI job — the
-/// engine race shares one cancel flag and a caller-participating pool.
+/// The verification gate: engine agreement across sim/SAT/the gate, the
+/// pipeline's stage order (simulation, SAT, random simulation), the
+/// single deadline and the cancel token, degenerate interfaces (zero POs,
+/// constant POs, mismatched PI/PO preconditions), counterexample
+/// round-trips, the spurious-SAT-counterexample no-throw contract, exact
+/// simulation budget accounting, the verdict cache, and verification
+/// wired through run_flow / FlowEngine / FlowService.  Runs under the
+/// TSan CI job — concurrent checks share one verdict cache and one
+/// counterexample pool.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,6 @@
 
 #include "aig/cec.hpp"
 #include "aig/simulation.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "circuits/registry.hpp"
 #include "core/flow_engine.hpp"
 #include "core/flow_service.hpp"
@@ -86,13 +87,10 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnEquivalentPairs) {
         Aig optimized = original;
         (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
 
-        // Exhaustive simulation (8 PIs), BDD and SAT must all prove it.
+        // Exhaustive simulation (8 PIs) and SAT must both prove it.
         EXPECT_EQ(check_equivalence(original, optimized),
                   CecVerdict::Equivalent)
             << "sim, seed " << seed;
-        EXPECT_EQ(bg::bdd::check_equivalence_bdd(original, optimized),
-                  CecVerdict::Equivalent)
-            << "bdd, seed " << seed;
         EXPECT_EQ(bg::sat::check_equivalence_sat(original, optimized),
                   CecVerdict::Equivalent)
             << "sat, seed " << seed;
@@ -111,9 +109,6 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnMutatedPairs) {
 
         EXPECT_EQ(check_equivalence(g, bad), CecVerdict::NotEquivalent)
             << "sim, seed " << seed;
-        EXPECT_EQ(bg::bdd::check_equivalence_bdd(g, bad),
-                  CecVerdict::NotEquivalent)
-            << "bdd, seed " << seed;
         EXPECT_EQ(bg::sat::check_equivalence_sat(g, bad),
                   CecVerdict::NotEquivalent)
             << "sat, seed " << seed;
@@ -125,9 +120,26 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnMutatedPairs) {
     }
 }
 
-TEST(PortfolioCecTest, WidePiDesignProvenByRace) {
-    // Past the exhaustive bound: only BDD or SAT can prove; the portfolio
-    // must return a definitive verdict either way.
+// ---------------------------------------------------------------------
+// Stage order: simulation, SAT, random simulation
+
+TEST(PortfolioCecTest, SmallPiPairProvenBySimulation) {
+    // At or below the exhaustive bound the first stage is a proof: SAT
+    // never runs.
+    const Aig original = bg::test::redundant_aig(10, 30, 3, 4);
+    ASSERT_LE(original.num_pis(), 14u);
+    Aig optimized = original;
+    (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
+
+    PortfolioCec prover;
+    const auto report = prover.check(original, optimized);
+    EXPECT_EQ(report.verdict, CecVerdict::Equivalent);
+    EXPECT_EQ(report.engine, Engine::Simulation);
+}
+
+TEST(PortfolioCecTest, WidePiDesignProvenBySat) {
+    // Past the exhaustive bound simulation can only refute, so the proof
+    // must come from SAT.
     const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
     ASSERT_GT(original.num_pis(), 14u);
     Aig optimized = original;
@@ -137,9 +149,67 @@ TEST(PortfolioCecTest, WidePiDesignProvenByRace) {
     PortfolioCec prover;
     const auto report = prover.check(original, optimized);
     EXPECT_EQ(report.verdict, CecVerdict::Equivalent);
-    EXPECT_TRUE(report.engine == Engine::Bdd || report.engine == Engine::Sat)
-        << "proof must come from a proving engine, got "
-        << bg::verify::to_string(report.engine);
+    EXPECT_EQ(report.engine, Engine::Sat)
+        << "got " << bg::verify::to_string(report.engine);
+}
+
+TEST(PortfolioCecTest, StarvedSatFallsBackToRandomSimulation) {
+    // A memory cap of one byte degrades SAT at solve entry; the random
+    // simulation stage after it must still refute a wide flipped pair.
+    const Aig g = bg::circuits::make_benchmark_scaled("b07", 0.5).compact();
+    ASSERT_GT(g.num_pis(), 14u);
+    const Aig bad = flip_first_po(g);
+
+    PortfolioOptions opts;
+    opts.sat.max_memory_bytes = 1;
+    const auto sat_alone =
+        bg::sat::check_equivalence_sat_full(g, bad, opts.sat);
+    ASSERT_EQ(sat_alone.verdict, CecVerdict::ProbablyEquivalent);
+    EXPECT_TRUE(sat_alone.stats.memory_limited);
+
+    PortfolioCec prover(opts);
+    const auto report = prover.check(g, bad);
+    ASSERT_EQ(report.verdict, CecVerdict::NotEquivalent);
+    EXPECT_EQ(report.engine, Engine::Simulation);
+    EXPECT_TRUE(cex_distinguishes(g, bad, report.counterexample));
+}
+
+TEST(PortfolioCecTest, SpentDeadlineSkipsEveryStage) {
+    // One deadline covers the whole check; once it has passed no stage
+    // runs (a non-positive budget would read as "unlimited" to the
+    // engines), and an undecided verdict is never cached.
+    const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
+    ASSERT_GT(original.num_pis(), 14u);
+    Aig optimized = original;
+    (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
+
+    PortfolioOptions opts;
+    opts.timeout_seconds = 1e-9;
+    PortfolioCec prover(opts);
+    const auto report = prover.check(original, optimized);
+    EXPECT_EQ(report.verdict, CecVerdict::ProbablyEquivalent);
+    EXPECT_EQ(report.engine, Engine::None);
+    EXPECT_EQ(prover.cache_size(), 0u);
+}
+
+TEST(PortfolioCecTest, StoppedTokenDegradesThenProverStillProves) {
+    const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
+    ASSERT_GT(original.num_pis(), 14u);
+    Aig optimized = original;
+    (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
+
+    PortfolioCec prover;
+    bg::CancelToken token;
+    token.request_cancel();
+    const auto stopped = prover.check(original, optimized, &token);
+    EXPECT_EQ(stopped.verdict, CecVerdict::ProbablyEquivalent);
+    EXPECT_EQ(stopped.engine, Engine::None);
+    EXPECT_EQ(prover.cache_size(), 0u);
+
+    const auto proven = prover.check(original, optimized);
+    EXPECT_EQ(proven.verdict, CecVerdict::Equivalent);
+    EXPECT_FALSE(proven.from_cache);
+    EXPECT_EQ(prover.cache_size(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -153,7 +223,6 @@ TEST(PortfolioCecTest, ZeroPoDesignsAreTriviallyEquivalent) {
     b.and_(make_lit(b.pi(0)), make_lit(b.pi(1)));  // internal node, never observed
 
     EXPECT_EQ(bg::sat::check_equivalence_sat(a, b), CecVerdict::Equivalent);
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b), CecVerdict::Equivalent);
     PortfolioCec prover;
     EXPECT_EQ(prover.check(a, b).verdict, CecVerdict::Equivalent);
 }
@@ -172,7 +241,6 @@ TEST(PortfolioCecTest, ConstantPos) {
         b.add_po(lit_true);
     }
     EXPECT_EQ(check_equivalence(a, b), CecVerdict::Equivalent);
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b), CecVerdict::Equivalent);
     EXPECT_EQ(bg::sat::check_equivalence_sat(a, b), CecVerdict::Equivalent);
     PortfolioCec prover;
     EXPECT_EQ(prover.check(a, b).verdict, CecVerdict::Equivalent);
@@ -207,8 +275,8 @@ TEST(PortfolioCecTest, InterfaceMismatchThrows) {
 
 TEST(PortfolioCecTest, CounterexampleRoundTrips) {
     // Needle in 2^20: random simulation essentially never finds the
-    // single differing minterm, so the witness must come from a
-    // solver-grade engine (SAT model or BDD satisfying path).
+    // single differing minterm, so the witness must come from the SAT
+    // model.
     const unsigned n = 20;
     Aig g;
     g.add_po(g.and_reduce(g.add_pis(n)));
@@ -294,15 +362,17 @@ TEST(SatCecFull, SpuriousCounterexamplePathNeverThrows) {
 // Budgets, cancel, accounting
 
 TEST(SimCec, RandomBudgetHonoredExactly) {
-    // Satellite-2 regression: 7 words must simulate exactly 7 (the old
-    // chunking simulated 4), and a budget of 2 must not over-run to 4.
+    // 7 words must simulate exactly 7 and a budget of 2 must not over-run
+    // to 4; a budget of 0 — the portfolio's first simulation stage — must
+    // simulate nothing.
     Aig g;
     g.add_po(g.and_reduce(g.add_pis(20)));
     const Aig h = g;
     CecOptions opts;
     opts.exhaustive_pi_limit = 0;  // force the random path
-    for (const std::size_t budget : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{7}, std::size_t{64}}) {
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
+          std::size_t{64}}) {
         opts.random_words = budget;
         const auto res = check_equivalence_full(g, h, opts);
         EXPECT_EQ(res.verdict, CecVerdict::ProbablyEquivalent);
@@ -314,7 +384,8 @@ TEST(SimCec, PreSetCancelDegradesWithoutSimulating) {
     Aig g;
     g.add_po(g.and_reduce(g.add_pis(20)));
     const Aig bad = flip_first_po(g);
-    std::atomic<bool> cancel{true};
+    bg::CancelToken cancel;
+    cancel.request_cancel();
     CecOptions opts;
     opts.exhaustive_pi_limit = 0;
     opts.cancel = &cancel;
@@ -324,37 +395,33 @@ TEST(SimCec, PreSetCancelDegradesWithoutSimulating) {
 }
 
 TEST(SatCecTest, PreSetCancelDegrades) {
+    // The token's flag and its deadline both stop the solver.
     const Aig a = bg::circuits::make_benchmark_scaled("b09", 0.4);
     Aig b = a;
     (void)bg::opt::standalone_pass(b, bg::opt::OpKind::Rewrite);
-    std::atomic<bool> cancel{true};
-    bg::sat::SatCecOptions opts;
-    opts.cancel = &cancel;
-    EXPECT_EQ(bg::sat::check_equivalence_sat(a, b, opts),
-              CecVerdict::ProbablyEquivalent);
-}
-
-TEST(BddCecTest, PreSetCancelDegrades) {
-    const Aig a = bg::circuits::make_benchmark_scaled("b09", 0.4);
-    Aig b = a;
-    (void)bg::opt::standalone_pass(b, bg::opt::OpKind::Rewrite);
-    std::atomic<bool> cancel{true};
-    bg::bdd::BddCecOptions opts;
-    opts.cancel = &cancel;
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b, opts),
-              CecVerdict::ProbablyEquivalent);
+    bg::CancelToken cancelled;
+    cancelled.request_cancel();
+    bg::CancelToken expired;
+    expired.set_deadline_after(1e-9);
+    while (!expired.deadline_expired()) {
+    }
+    for (const bg::CancelToken* token : {&cancelled, &expired}) {
+        bg::sat::SatCecOptions opts;
+        opts.cancel = token;
+        EXPECT_EQ(bg::sat::check_equivalence_sat(a, b, opts),
+                  CecVerdict::ProbablyEquivalent);
+    }
 }
 
 TEST(PortfolioCecTest, AllEnginesExhaustedDegradesHonestly) {
-    // Starve every engine: tiny budgets on a pair no engine can decide
-    // that cheaply.  The portfolio must degrade, not guess.
+    // Starve every stage: tiny budgets on a pair no stage can decide
+    // that cheaply.  The pipeline must degrade, not guess.
     const Aig a = bg::circuits::make_benchmark_scaled("b11", 0.5);
     Aig b = a;
     (void)bg::opt::standalone_pass(b, bg::opt::OpKind::Rewrite);
     PortfolioOptions opts;
     opts.sim.random_words = 1;
     opts.sim.exhaustive_pi_limit = 0;
-    opts.bdd.node_limit = 8;
     opts.sat.conflict_budget = 0;
     const auto report = PortfolioCec(opts).check(a, b);
     EXPECT_EQ(report.verdict, CecVerdict::ProbablyEquivalent);
@@ -481,13 +548,13 @@ TEST(SimCec, SeedPatternsLeaveExhaustivePathAlone) {
 }
 
 TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
-    // Job 1: a 20-PI needle pair whose refutation needs a solver-grade
-    // engine (the sim engine is starved to one random word) — the witness
-    // lands in the cross-job pool.  Job 2: a structurally different pair
-    // computing the same functions, so its fingerprints miss the verdict
-    // cache; the sequential portfolio runs simulation first, which now
-    // refutes immediately from the pooled seed — cached cex flips the
-    // later sim verdict from Unknown to NotEquivalent.
+    // Job 1: a 20-PI needle pair whose refutation needs SAT (simulation
+    // is starved to one random word) — the witness lands in the cross-job
+    // pool.  Job 2: a structurally different pair computing the same
+    // functions, so its fingerprints miss the verdict cache; the
+    // pipeline's first stage simulates the pooled seed and refutes
+    // immediately — cached cex flips the later sim verdict from Unknown
+    // to NotEquivalent.
     Aig g1;
     g1.add_po(g1.and_reduce(g1.add_pis(20)));
     Aig h1;
@@ -497,7 +564,7 @@ TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
     PortfolioOptions opts;
     opts.sim.exhaustive_pi_limit = 0;
     opts.sim.random_words = 1;
-    PortfolioCec prover(opts);  // no pool: engines run sim -> BDD -> SAT
+    PortfolioCec prover(opts);
 
     const auto first = prover.check(g1, h1);
     ASSERT_EQ(first.verdict, CecVerdict::NotEquivalent);
@@ -528,7 +595,7 @@ TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
     EXPECT_FALSE(second.from_cache);
     ASSERT_EQ(second.verdict, CecVerdict::NotEquivalent);
     EXPECT_EQ(second.engine, Engine::Simulation)
-        << "the pooled seed must refute before BDD/SAT even run";
+        << "the pooled seed must refute before SAT even runs";
     EXPECT_TRUE(cex_distinguishes(g2, h2, second.counterexample));
 
     // The recurring witness deduplicates instead of growing the pool.
@@ -594,30 +661,14 @@ TEST(PortfolioCecTest, CexPoolEvictsFifoAtCapacity) {
 }
 
 // ---------------------------------------------------------------------
-// Racing on the shared pool (TSan coverage)
-
-TEST(PortfolioCecTest, PooledRaceMatchesSequential) {
-    bg::ThreadPool pool(3);
-    PortfolioCec pooled({}, &pool);
-    PortfolioCec sequential({}, nullptr);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const Aig g = bg::test::redundant_aig(8, 26, 2, seed).compact();
-        Aig opt = g;
-        (void)bg::opt::standalone_pass(opt, bg::opt::OpKind::Rewrite);
-        EXPECT_EQ(pooled.check(g, opt).verdict,
-                  sequential.check(g, opt).verdict);
-        const Aig bad = flip_first_po(g);
-        EXPECT_EQ(pooled.check(g, bad).verdict,
-                  sequential.check(g, bad).verdict);
-    }
-}
+// Concurrent checks on one prover (TSan coverage)
 
 TEST(PortfolioCecTest, CheckFromInsidePoolJobDoesNotDeadlock) {
-    // The serving pattern: verification runs inside a job on the same
-    // pool that races the engines.  Saturate a 2-thread pool with jobs
-    // that each verify — caller participation must keep this live.
+    // The serving pattern: many pool jobs verify through one shared
+    // prover at once, racing on its verdict cache and counterexample
+    // pool.  Saturate a 2-thread pool with jobs that each verify.
     bg::ThreadPool pool(2);
-    PortfolioCec prover({}, &pool);
+    PortfolioCec prover;
     const Aig g = bg::test::redundant_aig(8, 24, 2, 7).compact();
     const Aig bad = flip_first_po(g);
     std::vector<std::future<void>> jobs;
@@ -688,6 +739,43 @@ TEST(FlowVerify, IteratedRoundsProveEndToEnd) {
                                                /*rounds=*/2, nullptr);
     ASSERT_TRUE(res.verification.has_value());
     EXPECT_EQ(res.verification->verdict, CecVerdict::Equivalent);
+}
+
+TEST(FlowVerify, TokenStoppedDuringProofRaisesCancelled) {
+    // A job stopped while its end-to-end proof runs is a cancelled job,
+    // not an undecided verdict.  The token is stopped from on_progress
+    // after the last productive round, so the proof is the first stage to
+    // see it.
+    const bg::core::BoolGebraModel model(tiny_model_config());
+    const bg::core::DesignJob job{
+        "b07", bg::circuits::make_benchmark_scaled("b07", 0.4)};
+    const auto cfg = tiny_verified_flow();
+    constexpr std::size_t kRounds = 2;
+
+    const auto uncancelled =
+        bg::core::run_design_flow(job, model, cfg, kRounds, nullptr);
+    ASSERT_EQ(uncancelled.iterated.per_round_reduction.size(), kRounds)
+        << "both rounds must be productive for on_progress to fire last";
+    ASSERT_TRUE(uncancelled.verification.has_value());
+    EXPECT_EQ(uncancelled.verification->verdict, CecVerdict::Equivalent);
+
+    bg::CancelToken token;
+    bg::core::JobControl control;
+    control.cancel = &token;
+    control.on_progress = [&](std::size_t round, std::size_t /*ands*/) {
+        if (round == kRounds) {
+            token.request_cancel();
+        }
+    };
+    PortfolioCec prover;
+    try {
+        (void)bg::core::run_design_flow(job, model, cfg, kRounds, nullptr,
+                                        &prover, &control);
+        FAIL() << "a proof stopped by the token must raise CancelledError";
+    } catch (const bg::CancelledError& e) {
+        EXPECT_EQ(e.reason(), bg::CancelReason::Cancelled);
+    }
+    EXPECT_EQ(prover.cache_size(), 0u);
 }
 
 TEST(FlowVerify, CorruptedResultIsRefutedWithValidCounterexample) {
@@ -768,7 +856,6 @@ TEST(FlowVerify, EngineBatchTalliesVerification) {
 TEST(EngineToString, CoversAllEngines) {
     EXPECT_EQ(bg::verify::to_string(Engine::None), "none");
     EXPECT_EQ(bg::verify::to_string(Engine::Simulation), "sim");
-    EXPECT_EQ(bg::verify::to_string(Engine::Bdd), "bdd");
     EXPECT_EQ(bg::verify::to_string(Engine::Sat), "sat");
     EXPECT_EQ(bg::verify::to_string(Engine::Cache), "cache");
 }
