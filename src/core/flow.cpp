@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -144,8 +145,8 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     BG_EXPECTS(cfg.num_samples > 0 && cfg.top_k > 0,
                "flow needs samples and a positive top-k");
     cfg.opt.validate();
-    // Stage-boundary cancel points (the exact-evaluation and commit inner
-    // loops poll the same token through OptParams inside orchestrate).
+    // Stage-boundary cancel points (the exact-evaluation inner loops poll
+    // the same token through OptParams inside orchestrate).
     poll_cancel(cfg.opt.cancel, "run_flow entry");
     const opt::Objective& obj = flow_objective(cfg);
     FlowResult res;
@@ -229,21 +230,16 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     res.selected.assign(order.begin(),
                         order.begin() + static_cast<std::ptrdiff_t>(k));
 
+    // Each candidate's optimized graph stays in its slot until the winner
+    // is picked; the proof and run_design_flow read the winner's.
     std::vector<SampleRecord> evaluated(k);
     std::vector<opt::CostVector> costs(k);
+    std::vector<Aig> graphs(k);
     bg::for_each_index(ctx.pool, k, [&](std::size_t i) {
-        Aig optimized;
-        const bool keep_graph = obj.needs_graph();
         evaluated[i] =
             evaluate_decisions(design, decisions[res.selected[i]], cfg.opt,
-                               obj, keep_graph ? &optimized : nullptr,
-                               &intra);
-        const auto& rec = evaluated[i];
-        costs[i] = keep_graph
-                       ? obj.measure(optimized)
-                       : opt::CostVector{
-                             obj.scalar(rec.final_size, rec.final_depth),
-                             rec.final_size, rec.final_depth};
+                               obj, &graphs[i], &intra);
+        costs[i] = obj.measure(graphs[i]);
     });
     double sum_ratio = 0.0;
     double sum_reduction = 0.0;
@@ -273,6 +269,8 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     }
     res.best_cost = costs[best_idx];
     res.best_decisions = evaluated[best_idx].decisions;
+    res.best_graph = std::make_shared<const Aig>(std::move(graphs[best_idx]));
+    graphs.clear();
     res.best_reduction =
         std::max(evaluated[best_idx].reduction, res.best_reduction);
     res.mean_reduction = sum_reduction / static_cast<double>(k);
@@ -295,19 +293,13 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
 
     if (cfg.verify) {
         poll_cancel(cfg.opt.cancel, "run_flow verification");
-        // Re-materialize the winner (deterministic re-run keeps peak
-        // memory flat: no need to retain k optimized graphs above) and
-        // prove it against the input design.
-        Aig best_graph;
-        (void)evaluate_decisions(design, decisions[res.selected[best_idx]],
-                                 cfg.opt, obj, &best_graph, &intra);
         if (ctx.prover != nullptr) {
             res.verification =
-                ctx.prover->check(design, best_graph, cfg.opt.cancel);
+                ctx.prover->check(design, *res.best_graph, cfg.opt.cancel);
         } else {
             verify::PortfolioCec prover(cfg.verify_opts);
             res.verification =
-                prover.check(design, best_graph, cfg.opt.cancel);
+                prover.check(design, *res.best_graph, cfg.opt.cancel);
         }
         // A proof cut short by the token is a cancelled job, not an
         // undecided verdict.

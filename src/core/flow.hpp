@@ -9,6 +9,7 @@
 /// BG-Best (Table I's columns).
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,23 +43,21 @@ struct FlowConfig {
     /// evaluated candidate wins.  Falls back to the size head when the
     /// model lacks the requested head.
     std::optional<MetricHead> ranking_head;
-    /// Verify the committed candidate: after the objective picks the
-    /// winner, re-materialize its optimized graph and prove it equivalent
-    /// to the input design with the portfolio CEC (FlowResult records the
-    /// verdict).  Every transform is correct by construction, so this is
-    /// the production gate against orchestration bugs, not a per-sample
-    /// cost.
+    /// Verify the winner: after the objective picks it, prove its kept
+    /// graph (FlowResult::best_graph) equivalent to the input design with
+    /// the portfolio CEC (FlowResult records the verdict).  Every
+    /// transform is correct by construction, so this is the production
+    /// gate against orchestration bugs, not a per-sample cost.
     bool verify = false;
     /// Budgets for the verification gate (ignored when the caller
     /// supplies FlowContext::prover, which carries its own options).
     verify::PortfolioOptions verify_opts;
-    /// Intra-design parallelism: when >= 2, every committed or evaluated
-    /// orchestration runs the speculate/ordered-commit path
-    /// (opt::orchestrate_parallel) on the caller's pool — FlowContext::pool
-    /// or run_design_flow's pool, nesting-safe with the outer sample loops
-    /// — bit-identical to the sequential pass at any worker count.  The
-    /// pool's size sets the speculation width; without a pool, and at
-    /// 0/1, the sequential pass runs.
+    /// Intra-design parallelism: when >= 2, each top-k evaluation (the
+    /// only orchestration a flow runs) takes the speculate/ordered-commit
+    /// path (opt::orchestrate_parallel) on FlowContext::pool, nesting-safe
+    /// with the outer candidate loop and bit-identical to the sequential
+    /// pass at any worker count.  The pool's size sets the speculation
+    /// width; without a pool, and at 0/1, the sequential pass runs.
     std::size_t intra_workers = 0;
 };
 
@@ -87,7 +86,7 @@ RankingPlan plan_ranking(const BoolGebraModel& model,
                          std::optional<MetricHead> override_head = {});
 
 /// Extension beyond the paper's single-shot flow: run the flow, commit
-/// the best decision vector, and repeat on the optimized graph
+/// the best candidate's graph, and repeat on the optimized graph
 /// (run_design_flow with rounds > 1).  Ratios accumulate against the
 /// *original* size.
 struct IteratedFlowResult {
@@ -143,10 +142,15 @@ struct FlowResult {
     double bg_mean_depth_ratio = 1.0;
     double bg_best_value_ratio = 1.0;
     double bg_mean_value_ratio = 1.0;
-    /// The objective-best decision vector (for committing).
+    /// The objective-best decision vector.
     opt::DecisionVector best_decisions;
-    /// Portfolio-CEC verdict on the best candidate vs the input design;
-    /// set exactly when FlowConfig::verify was on.
+    /// The objective-best candidate's optimized graph, as its top-k
+    /// evaluation left it (uncompacted); the other candidates' graphs are
+    /// freed.  The proof, run_design_flow's commit and its returned graph
+    /// all read this one graph, so the winner is never re-run.
+    std::shared_ptr<const aig::Aig> best_graph;
+    /// Portfolio-CEC verdict on best_graph vs the input design; set
+    /// exactly when FlowConfig::verify was on.
     std::optional<verify::VerifyReport> verification;
 };
 

@@ -1,7 +1,5 @@
 #include "core/flow_engine.hpp"
 
-#include <algorithm>
-
 #include "circuits/design_source.hpp"
 #include "circuits/registry.hpp"
 #include "core/flow_service.hpp"
@@ -43,14 +41,6 @@ DesignFlowResult run_design_flow(const DesignJob& job,
         round_cfg.opt.cancel = cancel;
     }
 
-    // Commit-path intra parallelism speculates on the caller's pool; a
-    // null pool runs the sequential pass (orchestrate_parallel stays
-    // bit-identical to it either way).
-    opt::IntraParallel intra;
-    if (flow_cfg.intra_workers >= 2) {
-        intra.pool = pool;
-    }
-    bool round1_productive = false;
     for (std::size_t round = 0; round < rounds; ++round) {
         poll_cancel(cancel, "run_design_flow round boundary");
         round_cfg.seed = flow_cfg.seed + round;  // fresh samples per round
@@ -66,84 +56,57 @@ DesignFlowResult run_design_flow(const DesignJob& job,
         ctx.prover = prover;
         const FlowResult flow = run_flow(current, model, round_cfg, ctx);
         res.samples_run += flow.samples_evaluated;
-        // Productive = the objective-best strictly improves on the round's
-        // entry cost (under size: best_reduction > 0, as before).
-        const bool productive =
-            !flow.best_decisions.empty() &&
-            obj.better(flow.best_cost, flow.original_cost);
         if (round == 0) {
             res.flow = flow;
             res.iterated.original_depth = flow.original_depth;
-            round1_productive = productive;
         }
-        if (!productive) {
+        // Productive = the objective-best strictly improves on the round's
+        // entry cost (under size: best_reduction > 0, as before).
+        if (!obj.better(flow.best_cost, flow.original_cost)) {
             break;
         }
         res.iterated.per_round_reduction.push_back(flow.best_reduction);
         if (rounds == 1) {
             break;  // single-shot: nothing is committed
         }
-        (void)opt::orchestrate_parallel(current, flow.best_decisions,
-                                        round_cfg.opt, obj, intra);
-        current = current.compact();
+        current = flow.best_graph->compact();
         if (control != nullptr && control->on_progress) {
             control->on_progress(round + 1, current.num_ands());
         }
     }
+    // The one final graph: a single round's winner (uncommitted), else
+    // the committed graph.
+    std::shared_ptr<const Aig> final_graph =
+        rounds == 1 ? res.flow.best_graph
+                    : std::make_shared<const Aig>(std::move(current));
+    res.iterated.final_size = final_graph->num_ands();
+    res.iterated.final_ratio =
+        static_cast<double>(res.iterated.final_size) /
+        static_cast<double>(res.iterated.original_size);
+    res.iterated.final_depth = final_graph->depth();
+    res.iterated.final_depth_ratio =
+        res.iterated.original_depth != 0
+            ? static_cast<double>(res.iterated.final_depth) /
+                  static_cast<double>(res.iterated.original_depth)
+            : 1.0;
     if (rounds == 1) {
-        // Final size/depth are the best evaluated candidate's
-        // (uncommitted).
-        res.iterated.final_size =
-            res.original_size -
-            static_cast<std::size_t>(std::max(res.flow.best_reduction, 0));
-        res.iterated.final_ratio = res.flow.bg_best_ratio;
-        res.iterated.final_depth = res.flow.best_cost.depth;
-        res.iterated.final_depth_ratio = res.flow.bg_best_depth_ratio;
         res.verification = res.flow.verification;
         if (control != nullptr && control->on_progress) {
             control->on_progress(1, res.iterated.final_size);
         }
-        if (control != nullptr && control->want_graph) {
-            // Re-materialize the best candidate exactly as the verify
-            // path does (deterministic re-run; the k evaluated graphs
-            // were deliberately not retained).
-            if (round1_productive) {
-                Aig best_graph;
-                (void)evaluate_decisions(job.design,
-                                         res.flow.best_decisions,
-                                         round_cfg.opt, obj, &best_graph,
-                                         &intra);
-                res.final_graph =
-                    std::make_shared<const Aig>(std::move(best_graph));
-            } else {
-                res.final_graph = std::make_shared<const Aig>(job.design);
-            }
+    } else if (flow_cfg.verify) {
+        // One end-to-end proof of everything that was committed.
+        const bg::CancelToken* token = round_cfg.opt.cancel;
+        if (prover != nullptr) {
+            res.verification = prover->check(job.design, *final_graph, token);
+        } else {
+            verify::PortfolioCec local(flow_cfg.verify_opts);
+            res.verification = local.check(job.design, *final_graph, token);
         }
-    } else {
-        res.iterated.final_size = current.num_ands();
-        res.iterated.final_ratio =
-            static_cast<double>(res.iterated.final_size) /
-            static_cast<double>(res.iterated.original_size);
-        res.iterated.final_depth = current.depth();
-        res.iterated.final_depth_ratio =
-            res.iterated.original_depth != 0
-                ? static_cast<double>(res.iterated.final_depth) /
-                      static_cast<double>(res.iterated.original_depth)
-                : 1.0;
-        if (flow_cfg.verify) {
-            // One end-to-end proof of everything that was committed.
-            const bg::CancelToken* token = round_cfg.opt.cancel;
-            if (prover != nullptr) {
-                res.verification = prover->check(job.design, current, token);
-            } else {
-                verify::PortfolioCec local(flow_cfg.verify_opts);
-                res.verification = local.check(job.design, current, token);
-            }
-            poll_cancel(token, "run_design_flow proof");
-        }
-        if (control != nullptr && control->want_graph) {
-            res.final_graph = std::make_shared<const Aig>(std::move(current));
-        }
+        poll_cancel(token, "run_design_flow proof");
+    }
+    if (control != nullptr && control->want_graph) {
+        res.final_graph = std::move(final_graph);
     }
     res.seconds = watch.seconds();
     return res;

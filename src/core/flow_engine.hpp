@@ -63,10 +63,10 @@ struct JobControl {
     /// committed size for iterated flows, the best candidate's size for
     /// single-shot flows (which commit nothing).
     std::function<void(std::size_t round, std::size_t ands)> on_progress;
-    /// Materialize the final optimized graph into
-    /// DesignFlowResult::final_graph (the committed graph for rounds > 1,
-    /// the re-materialized best round-1 candidate otherwise; the input
-    /// design when no round was productive).
+    /// Return the final optimized graph in DesignFlowResult::final_graph:
+    /// the committed graph for rounds > 1 (the input design when no round
+    /// was productive), the round's winner (FlowResult::best_graph) for a
+    /// single round.
     bool want_graph = false;
 };
 
@@ -89,11 +89,12 @@ struct DesignFlowResult {
     /// (the committed graph for rounds > 1, the best round-1 candidate
     /// otherwise); set exactly when FlowConfig::verify was on.
     std::optional<verify::VerifyReport> verification;
-    /// The final optimized graph; set exactly when JobControl::want_graph
-    /// was on (shared_ptr keeps the result cheap to copy through futures
-    /// and callbacks).  For rounds > 1 this is the committed graph, for
-    /// rounds == 1 the re-materialized best candidate, and the unchanged
-    /// input design when no round was productive.
+    /// The final optimized graph, the one final_* describe; set exactly
+    /// when JobControl::want_graph was on (shared_ptr keeps the result
+    /// cheap to copy through futures and callbacks).  For rounds > 1 this
+    /// is the committed graph (the unchanged input design when no round
+    /// was productive).  For rounds == 1 it is flow.best_graph itself,
+    /// the best evaluated candidate, whether or not it beats the input.
     std::shared_ptr<const aig::Aig> final_graph;
     double seconds = 0.0;
 };
@@ -129,7 +130,8 @@ struct BatchFlowResult {
 /// The per-design unit of work shared by FlowEngine and FlowService, and
 /// the one round driver: run `rounds` flow rounds (committing each
 /// productive best when rounds > 1, stopping at the first round that
-/// does not improve) with per-round StaticFeatures/CSR caching.  Every
+/// does not improve) with per-round StaticFeatures/CSR caching.  A commit
+/// compacts the round's FlowResult::best_graph; no winner is re-run.  Every
 /// loop runs on `pool` when given and inline on the calling thread when
 /// it is null.  The model is read-only; results are bit-identical at any
 /// pool size, and for rounds == 1 equal run_flow with the same config.

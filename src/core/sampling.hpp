@@ -62,8 +62,8 @@ std::vector<opt::DecisionVector> generate_decisions(
 
 /// Run Algorithm 1 on a copy of `design` and record the outcome.  The
 /// orchestration commits under `objective` (default size, the paper's
-/// behavior); `optimized_out`, when given, receives the optimized copy so
-/// graph-needing objectives can measure it before it is discarded.
+/// behavior); `optimized_out`, when given, receives the optimized copy
+/// (run_flow keeps it to measure, prove and commit the winner).
 /// `intra`, when given with a pool, routes the pass through the
 /// speculate/ordered-commit parallel orchestrator on that pool —
 /// bit-identical results, so callers may mix the two paths freely.

@@ -265,11 +265,17 @@ Aig read_aiger_binary(std::istream& in) {
     std::vector<std::uint64_t> out_lits;
     out_lits.reserve(o);
     std::string line;
+    std::size_t line_no = 1;  // the header
     for (std::uint64_t k = 0; k < o; ++k) {
+        ++line_no;
         if (!std::getline(in, line)) {
-            fail(0, "missing binary output line");
+            fail(line_no, "missing binary output line");
         }
-        out_lits.push_back(std::stoull(line));
+        const auto vals = parse_uints(line, line_no);
+        if (vals.size() != 1) {
+            fail(line_no, "output line must hold one literal");
+        }
+        out_lits.push_back(vals[0]);
     }
 
     for (std::uint64_t k = 0; k < a; ++k) {

@@ -63,9 +63,9 @@ public:
     /// CLI-round-trippable name ("size", "depth", "luts", "weighted:a,b").
     virtual std::string name() const = 0;
 
-    /// Scalar from an already-measured (size, depth) pair.  Objectives
-    /// whose scalar needs the graph itself (MappedLuts) override
-    /// measure() and fall back to size here.
+    /// Scalar from an already-measured (size, depth) pair, used by the
+    /// default measure().  Objectives whose scalar needs the graph itself
+    /// (MappedLuts) override measure() and fall back to size here.
     virtual double scalar(std::size_t size, std::uint32_t depth) const = 0;
 
     /// Which learned metric head(s) should produce the pruning scores for
@@ -78,10 +78,10 @@ public:
     /// True when per-node level annotations must be kept fresh during
     /// orchestration (local depth deltas feed accepts()).
     virtual bool needs_depth() const { return false; }
-    /// True when measure() needs the concrete graph (not just size/depth).
-    virtual bool needs_graph() const { return false; }
 
-    /// Measure a whole graph: AND count, depth, and the scalar.
+    /// Measure a whole graph: AND count, depth, and the scalar.  Flows
+    /// measure every evaluated candidate's optimized graph with it, so an
+    /// objective whose scalar needs the graph overrides this alone.
     virtual CostVector measure(const aig::Aig& g) const;
     /// Scalar cost of a whole graph; lower is better.
     double cost(const aig::Aig& g) const { return measure(g).value; }
@@ -162,7 +162,6 @@ public:
     PredictionWeights prediction_weights() const override {
         return {0.0, 0.0, 1.0};
     }
-    bool needs_graph() const override { return true; }
     CostVector measure(const aig::Aig& g) const override;
     bool better(const CostVector& a, const CostVector& b) const override {
         return a.value < b.value || (a.value == b.value && a.size < b.size);

@@ -91,6 +91,21 @@ TEST(AigerBinary, RejectsBadHeader) {
                  std::runtime_error);
 }
 
+TEST(AigerBinary, RejectsMalformedOutputLine) {
+    // Output lines hold exactly one unsigned literal, as in the ASCII
+    // reader; anything else is a typed reader error.
+    for (const char* doc : {
+             "aig 1 1 0 1 0\n2junk\n",  // trailing garbage
+             "aig 1 1 0 1 0\n 3 7\n",   // two literals
+             "aig 1 1 0 1 0\nxyz\n",    // not a number
+             "aig 1 1 0 1 0\n99999999999999999999999\n",  // oversized
+         }) {
+        EXPECT_THROW((void)bg::io::read_aiger_binary_string(doc),
+                     std::runtime_error)
+            << doc;
+    }
+}
+
 TEST(AigerBinary, AutoDetectionByMagic) {
     const Aig g = bg::test::random_aig(5, 25, 2, 3);
     const auto dir = std::filesystem::temp_directory_path();

@@ -127,6 +127,33 @@ TEST(FlowEngine, SingleShotFinalRatioIsBgBest) {
     }
 }
 
+TEST(FlowEngine, SingleRoundGraphIsTheReportedCandidate) {
+    // Under `luts` the LUT-best candidate can fail to beat the input while
+    // still shrinking the AND count.  A single round reports that
+    // candidate in final_*, so the returned graph must be that candidate
+    // too, not the input design.
+    const DesignJob job{"c2670",
+                        bg::circuits::make_benchmark_scaled("c2670", 0.2)};
+    const BoolGebraModel model{ModelConfig::quick()};
+    FlowConfig fc;
+    fc.num_samples = 16;
+    fc.top_k = 4;
+    fc.seed = 1;
+    fc.objective = bg::opt::make_objective("luts");
+    JobControl control;
+    control.want_graph = true;
+    const auto res =
+        run_design_flow(job, model, fc, 1, nullptr, nullptr, &control);
+    // The case at stake: an unproductive round whose candidate is smaller.
+    EXPECT_TRUE(res.iterated.per_round_reduction.empty());
+    EXPECT_LT(res.iterated.final_size, job.design.num_ands());
+    ASSERT_NE(res.final_graph, nullptr);
+    EXPECT_EQ(res.final_graph->num_ands(), res.iterated.final_size);
+    EXPECT_EQ(res.final_graph->depth(), res.iterated.final_depth);
+    // The very graph run_flow kept, not a re-run of its decisions.
+    EXPECT_EQ(res.final_graph.get(), res.flow.best_graph.get());
+}
+
 TEST(FlowEngine, AggregatesAreMeansOfPerDesignRatios) {
     const auto jobs = tiny_jobs();
     const BoolGebraModel model{tiny_config()};

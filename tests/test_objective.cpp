@@ -302,6 +302,34 @@ TEST(ObjectiveFlow, LutFlowRunsOnRegistryDesigns) {
     }
 }
 
+TEST(ObjectiveFlow, BestGraphMeasuresAsBestCost) {
+    // run_flow keeps the winner's optimized graph; measuring it again
+    // must reproduce the cost that picked it.
+    const auto model = quick_model();
+    const Aig g = bg::circuits::make_benchmark_scaled("b10", 0.3);
+    for (const char* spec : {"size", "depth", "luts"}) {
+        FlowConfig fc = quick_flow_config();
+        fc.objective = make_objective(spec);
+        const auto res = run_flow(g, model, fc);
+        ASSERT_NE(res.best_graph, nullptr) << spec;
+        const auto cost = fc.objective->measure(*res.best_graph);
+        EXPECT_EQ(cost.value, res.best_cost.value) << spec;
+        EXPECT_EQ(cost.size, res.best_cost.size) << spec;
+        EXPECT_EQ(cost.depth, res.best_cost.depth) << spec;
+        EXPECT_EQ(res.best_graph->num_ands(),
+                  res.original_size -
+                      static_cast<std::size_t>(res.best_reduction))
+            << spec;
+        // The kept graph is what re-running the winner would build.
+        Aig rerun;
+        (void)bg::core::evaluate_decisions(g, res.best_decisions, fc.opt,
+                                           *fc.objective, &rerun);
+        EXPECT_EQ(structural_fingerprint(rerun),
+                  structural_fingerprint(*res.best_graph))
+            << spec;
+    }
+}
+
 TEST(ObjectiveFlow, WeightedFlowReportsBothMetrics) {
     const auto model = quick_model();
     const Aig g = bg::circuits::make_benchmark_scaled("b10", 0.3);

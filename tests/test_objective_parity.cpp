@@ -9,6 +9,7 @@
 #include "core/flow.hpp"
 #include "core/flow_engine.hpp"
 #include "core/trainer.hpp"
+#include "io/aiger.hpp"
 #include "opt/objective.hpp"
 #include "test_helpers.hpp"
 
@@ -130,7 +131,11 @@ TEST(SizeParity, IteratedFlowCommitsIdenticalGraphs) {
     explicit_size.objective = bg::opt::make_objective("size");
 
     const DesignJob job{"b10", g};
-    const auto ra = run_design_flow(job, model, defaulted, 3, nullptr).iterated;
+    JobControl control;
+    control.want_graph = true;
+    const auto full =
+        run_design_flow(job, model, defaulted, 3, nullptr, nullptr, &control);
+    const auto& ra = full.iterated;
     const auto rb =
         run_design_flow(job, model, explicit_size, 3, nullptr).iterated;
     EXPECT_EQ(ra.original_size, rb.original_size);
@@ -158,6 +163,10 @@ TEST(SizeParity, IteratedFlowCommitsIdenticalGraphs) {
     EXPECT_EQ(ra.per_round_reduction, rounds_ref);
     EXPECT_EQ(ra.final_size, current.num_ands());
     EXPECT_EQ(current.depth(), ra.final_depth);
+    // The returned graph is the committed one, byte for byte.
+    ASSERT_NE(full.final_graph, nullptr);
+    EXPECT_EQ(bg::io::write_aiger_binary_string(*full.final_graph),
+              bg::io::write_aiger_binary_string(current));
 }
 
 TEST(SizeParity, EngineBatchIdenticalAcrossWorkersAndObjectiveSpelling) {
