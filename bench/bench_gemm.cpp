@@ -6,21 +6,32 @@
 /// table times one SAGE layer on one b07 inference chunk at the paper's
 /// widths: the unfused composition (two fresh-output matmuls, add, bias,
 /// clamp) against the fused per-panel SageConv kernel, after checking
-/// that the two agree bit for bit.
+/// that the two agree bit for bit.  A third table runs the paper-width
+/// model on b07's 600 guided flow samples: it counts rows against
+/// distinct rows per trunk layer and times the dense training forward()
+/// per 64-sample chunk against the distinct-row predict_batch_head, after
+/// checking that their predictions agree bit for bit.  Full mode also
+/// counts the distinct rows of a 100k-AND graph's 64 guided samples.
 ///
 /// Usage: bench_gemm [--quick] [--workers N]
-///   --quick     fewer repetitions (CI nightly mode)
+///   --quick     fewer repetitions, no 100k-AND count (CI mode)
 ///   --workers   pool width for the parallel rows (default: hardware)
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "circuits/generators.hpp"
 #include "circuits/registry.hpp"
 #include "core/features.hpp"
+#include "core/flow.hpp"
+#include "core/model.hpp"
+#include "core/sampling.hpp"
 #include "naive_gemm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sage.hpp"
@@ -125,7 +136,8 @@ bool bench_sage_layer(const char* name, const bg::nn::Csr& csr,
     Matrix unfused;
     sage_unfused(x, agg, w_self, w_neigh, bias, unfused, &pool);
     Matrix fused(x.rows(), out);
-    conv.forward_eval(x, csr, batch, fused, &pool);
+    const auto stacked = bg::nn::RowMap::stacked(batch);
+    conv.forward_eval(x, csr, stacked, fused, &pool);
     if (!bit_equal(unfused, fused)) {
         std::printf("%-14s PARITY FAILURE\n", name);
         return false;
@@ -134,11 +146,129 @@ bool bench_sage_layer(const char* name, const bg::nn::Csr& csr,
         [&] { sage_unfused(x, agg, w_self, w_neigh, bias, unfused, &pool); },
         reps, min_time);
     const double t_fused = time_best(
-        [&] { conv.forward_eval(x, csr, batch, fused, &pool); }, reps,
+        [&] { conv.forward_eval(x, csr, stacked, fused, &pool); }, reps,
         min_time);
     std::printf("%-14s %8.1fms %8.1fms %8.2fx\n", name, t_unfused * 1e3,
                 t_fused * 1e3, t_unfused / t_fused);
     return true;
+}
+
+/// The stacked feature matrix run_flow hands to inference: `samples`
+/// guided decision vectors of `g` with predicted dynamic features.
+Matrix flow_features(const bg::aig::Aig& g, std::size_t samples,
+                     std::uint64_t seed, bg::ThreadPool& pool) {
+    using namespace bg::core;
+    const StaticFeatures st = compute_static_features(g, {}, &pool);
+    const auto decisions = generate_decisions(g, samples, true, seed, st);
+    const std::size_t n = g.num_slots();
+    const auto width = static_cast<std::size_t>(feature_dim);
+    Matrix x(samples * n, width);
+    pool.for_each(samples, [&](std::size_t s) {
+        const auto dy = compute_dynamic_features(
+            g, predicted_applied(g, decisions[s], st));
+        assemble_features_into(st, dy, {}, {x.row(s * n), n * width});
+    });
+    return x;
+}
+
+/// Rows against distinct rows per trunk layer, and the trunk GEMM work
+/// left, weighting layer l by its in x out widths.
+void print_classes(const bg::nn::RowClasses& classes, std::size_t rows,
+                   std::span<const int> sage_dims) {
+    static const char* const names[] = {"input", "sage1", "sage2", "sage3"};
+    double all = 0.0;
+    double left = 0.0;
+    int in = bg::core::feature_dim;
+    for (std::size_t l = 0; l < classes.cls.size(); ++l) {
+        const double share = static_cast<double>(classes.count(l)) /
+                             static_cast<double>(rows);
+        std::printf("%-8s %10zu %10zu %8.1f%%\n", names[l], rows,
+                    classes.count(l), 100.0 * share);
+        if (l > 0) {
+            const double w = static_cast<double>(in) * sage_dims[l - 1];
+            all += w;
+            left += w * share;
+            in = sage_dims[l - 1];
+        }
+    }
+    std::printf("trunk GEMM work left (in x out weighted): %.1f%%\n",
+                100.0 * left / all);
+}
+
+/// b07 at paper widths, 600 guided samples: distinct rows per layer, and
+/// the dense forward() per 64-sample chunk against predict_batch_head;
+/// false on a bit mismatch.
+bool bench_distinct_trunk(bg::ThreadPool& pool, bool quick) {
+    using bg::core::BoolGebraModel;
+    const auto g = bg::circuits::make_benchmark("b07");
+    const auto csr = bg::core::build_csr(g);
+    const std::size_t n = csr.num_nodes();
+    constexpr std::size_t samples = 600;
+    const Matrix x = flow_features(g, samples, 2, pool);
+    auto cfg = bg::core::ModelConfig::paper();
+    cfg.dropout = 0.0F;  // forward() then computes what evaluation does
+    BoolGebraModel model(cfg);
+
+    std::printf("\nDistinct-row trunk, b07 at paper widths, %zu guided flow"
+                " samples (%zu rows a layer), pool = %zu workers\n\n",
+                samples, samples * n, pool.size());
+    std::printf("%-8s %10s %10s %9s\n", "layer", "rows", "distinct",
+                "share");
+    bg::Stopwatch watch;
+    const auto classes = bg::nn::intern_rows(x, csr, samples,
+                                             cfg.sage_dims.size(), &pool);
+    const double t_intern = watch.seconds();
+    print_classes(classes, samples * n, cfg.sage_dims);
+
+    const std::size_t chunk = BoolGebraModel::kPredictBatch;
+    std::vector<double> pred;
+    const double t_distinct = time_best(
+        [&] { pred = model.predict_batch_head(csr, n, x, 0, chunk, &pool); },
+        quick ? 1 : 3, 0.0);
+    std::vector<double> dense;
+    const auto dense_pass = [&] {
+        dense.clear();
+        for (std::size_t start = 0; start < samples; start += chunk) {
+            const std::size_t b = std::min(chunk, samples - start);
+            const Matrix y =
+                model.forward(x.rows_view(start * n, b * n), csr, b, &pool);
+            for (std::size_t s = 0; s < b; ++s) {
+                dense.push_back(y.at(s, 0));
+            }
+        }
+    };
+    bg::Stopwatch dense_watch;
+    dense_pass();
+    const double t_dense = dense_watch.seconds();
+    for (std::size_t s = 0; s < samples; ++s) {
+        if (std::bit_cast<std::uint64_t>(pred[s]) !=
+            std::bit_cast<std::uint64_t>(dense[s])) {
+            std::printf("sample %zu PARITY FAILURE\n", s);
+            return false;
+        }
+    }
+    std::printf("\n%-30s %8.3fs\n%-30s %8.3fs (interning %.3fs)\n"
+                "%-30s %8.2fx\n",
+                "dense forward(), 64/chunk", t_dense,
+                "distinct-row predict_batch_head", t_distinct, t_intern,
+                "speedup", t_dense / t_distinct);
+    return true;
+}
+
+/// Counts only: the distinct rows of a 100k-AND dense graph's 64 guided
+/// flow samples (the trunk work ratio at 100k ANDs).
+void count_distinct_100k(bg::ThreadPool& pool) {
+    const auto g = bg::circuits::dense_random_aig(64, 100000, 42);
+    const auto csr = bg::core::build_csr(g);
+    constexpr std::size_t samples = 64;
+    const Matrix x = flow_features(g, samples, 2, pool);
+    const auto cfg = bg::core::ModelConfig::paper();
+    std::printf("\nDistinct rows, dense_random_aig 100k ANDs, %zu guided"
+                " flow samples\n\n%-8s %10s %10s %9s\n",
+                samples, "layer", "rows", "distinct", "share");
+    print_classes(bg::nn::intern_rows(x, csr, samples,
+                                      cfg.sage_dims.size(), &pool),
+                  samples * csr.num_nodes(), cfg.sage_dims);
 }
 
 }  // namespace
@@ -262,12 +392,19 @@ int main(int argc, char** argv) {
                  all_ok;
     }
 
+    all_ok = bench_distinct_trunk(pool, quick) && all_ok;
+    if (!quick) {
+        count_distinct_100k(pool);
+    }
+
     if (!all_ok) {
-        std::printf("\nFAIL: a blocked kernel or the fused SAGE layer does"
-                    " not match its reference bit-for-bit\n");
+        std::printf("\nFAIL: a blocked kernel, the fused SAGE layer or the"
+                    " distinct-row trunk does not match its reference"
+                    " bit-for-bit\n");
         return 1;
     }
     std::printf("\nall kernels parity-checked against the naive reference;"
-                " the SAGE layer against the unfused composition\n");
+                " the SAGE layer against the unfused composition; the"
+                " distinct-row predictions against the dense forward()\n");
     return 0;
 }

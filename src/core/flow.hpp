@@ -183,8 +183,8 @@ struct FlowContext {
 /// Run the full sample -> prune -> evaluate flow on one design.  Step 1
 /// is generate_decisions (core/sampling.hpp).  The model is shared
 /// read-only: inference goes through the const
-/// predict_batch_head/_blend path (forward_eval), so one instance (or one
-/// FlowService snapshot) can serve many concurrent flows without copies.
+/// predict_batch_head/_blend path, so one instance (or one FlowService
+/// snapshot) can serve many concurrent flows without copies.
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
                     const FlowConfig& cfg = {});
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,

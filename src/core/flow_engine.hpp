@@ -12,13 +12,12 @@
 /// so nesting cannot deadlock).  Per design round it computes the static
 /// features and CSR adjacency once and shares them with every flow step;
 /// candidate features are assembled in place into a stacked batch matrix
-/// whose chunks reach BoolGebraModel::predict_batch_head as zero-copy
-/// row-panel views, and the pool also shards the blocked GEMM row panels
-/// inside inference (bit-stable, see nn/matrix.hpp).
+/// that BoolGebraModel::predict_batch_head scores in one call, and the
+/// pool also shards the SAGE row panels and GEMM row panels inside
+/// inference (bit-stable, see nn/matrix.hpp and nn/sage.hpp).
 ///
 /// The model is shared read-only across every concurrent job — inference
-/// runs the const eval path (forward_eval), so no per-job model copy is
-/// made.  Output is bit-identical to running run_design_flow per design
+/// runs the const eval path, so no per-job model copy is made.  Output is bit-identical to running run_design_flow per design
 /// without a pool (every loop inline on the calling thread) with the
 /// same FlowConfig, independent of the worker count (everything is
 /// written to per-index slots).

@@ -15,15 +15,6 @@ namespace {
 /// The model's input width: one column per node feature.
 constexpr auto kInDim = static_cast<std::size_t>(feature_dim);
 
-/// The first `rows` rows of `buf` as a `cols`-wide view; reallocates only
-/// when the buffer is narrower, wider or shorter than that.
-nn::MatrixView reuse_rows(Matrix& buf, std::size_t rows, std::size_t cols) {
-    if (buf.cols() != cols || buf.rows() < rows) {
-        buf = Matrix(rows, cols);
-    }
-    return buf.rows_view(0, rows);
-}
-
 }  // namespace
 
 BoolGebraModel::BoolGebraModel(const ModelConfig& cfg)
@@ -92,7 +83,7 @@ void BoolGebraModel::set_input_stats(std::vector<float> mean,
 void BoolGebraModel::standardize_into(nn::ConstMatrixView x,
                                       nn::MatrixView y) const {
     // One fused pass: materializes the (possibly strided) view and applies
-    // the column statistics together.
+    // the column statistics together; `y` may be `x` itself.
     BG_EXPECTS(y.rows() == x.rows() && y.cols() == x.cols(),
                "standardize shape mismatch");
     const std::size_t f = x.cols();
@@ -134,32 +125,37 @@ Matrix BoolGebraModel::forward(nn::ConstMatrixView x, const nn::Csr& csr,
     return out_act_.forward(y);
 }
 
-Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
-                                    const nn::Csr& csr, std::size_t batch,
-                                    nn::EvalScratch& scratch,
-                                    bg::ThreadPool* pool) const {
+Matrix BoolGebraModel::trunk_eval(nn::ConstMatrixView x, const nn::Csr& csr,
+                                  std::size_t batch,
+                                  bg::ThreadPool* pool) const {
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
-    const std::size_t rows = x.rows();
-    nn::ConstMatrixView h = x;
-    if (!in_mean_.empty()) {
-        const nn::MatrixView std_x =
-            reuse_rows(scratch.standardized, rows, x.cols());
-        standardize_into(x, std_x);
-        h = std_x;
+    const nn::RowClasses classes =
+        nn::intern_rows(x, csr, batch, convs_.size(), pool);
+    // Layer 0: each class's input row, standardized in place.
+    const std::size_t n = csr.num_nodes();
+    Matrix h(classes.count(0), x.cols());
+    for (std::size_t k = 0; k < h.rows(); ++k) {
+        const std::size_t v = classes.rep[0][k];
+        const float* src = x.row(v % batch * n + v / batch);
+        std::copy(src, src + x.cols(), h.row(k));
     }
-    if (scratch.sage_out.size() < convs_.size()) {
-        scratch.sage_out.resize(convs_.size());
+    if (!in_mean_.empty()) {
+        standardize_into(h, h);
     }
     // Dropout is the identity at eval time and is skipped outright.
-    for (std::size_t i = 0; i < convs_.size(); ++i) {
-        const nn::MatrixView out =
-            reuse_rows(scratch.sage_out[i], rows, convs_[i].out_dim());
-        convs_[i].forward_eval(h, csr, batch, out, pool);
-        h = out;
+    for (std::size_t l = 0; l < convs_.size(); ++l) {
+        Matrix out(classes.count(l + 1), convs_[l].out_dim());
+        convs_[l].forward_eval(h, csr, classes.map(l + 1), out, pool);
+        h = std::move(out);
     }
     Matrix pooled;
-    nn::mean_pool(h, batch, pooled);
+    nn::mean_pool(h, batch, pooled, classes.cls.back());
+    return pooled;
+}
+
+Matrix BoolGebraModel::mlp_eval(nn::ConstMatrixView pooled,
+                                bg::ThreadPool* pool) const {
     Matrix y = linears_[0].forward_eval(pooled, pool);
     y = mlp_act0_.forward_eval(std::move(y));
     y = bn0_.forward_eval(y);
@@ -167,6 +163,12 @@ Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
     y = bn1_.forward_eval(y);
     y = linears_[2].forward_eval(y, pool);
     return out_act_.forward_eval(std::move(y));
+}
+
+Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
+                                    const nn::Csr& csr, std::size_t batch,
+                                    bg::ThreadPool* pool) const {
+    return mlp_eval(trunk_eval(x, csr, batch, pool), pool);
 }
 
 void BoolGebraModel::backward(const Matrix& dpred) {
@@ -265,14 +267,15 @@ std::vector<double> BoolGebraModel::predict_batch_scored(
     const std::size_t total = stacked.rows() / num_nodes;
     std::vector<double> out;
     out.reserve(total);
-    nn::EvalScratch scratch;  // temporaries shared across the chunks
+    if (total == 0) {
+        return out;
+    }
+    // One trunk pass over every sample; each chunk's MLP and BatchNorm
+    // see a row-panel view of the pooled rows.
+    const Matrix pooled = trunk_eval(stacked, csr, total, pool);
     for (std::size_t start = 0; start < total; start += batch_size) {
         const std::size_t b = std::min(batch_size, total - start);
-        // Zero-copy chunking: each forward sees a row-panel view of the
-        // stacked matrix.
-        const Matrix pred =
-            forward_eval(stacked.rows_view(start * num_nodes, b * num_nodes),
-                         csr, b, scratch, pool);
+        const Matrix pred = mlp_eval(pooled.rows_view(start, b), pool);
         for (std::size_t s = 0; s < b; ++s) {
             out.push_back(score(pred, s));
         }

@@ -19,9 +19,14 @@
 /// paper's (and the pre-multi-head code's) output bit for bit.
 ///
 /// `forward()` is the training pass (backward caches, dropout, batch-norm
-/// running statistics).  The const `forward_eval()` is the only
-/// evaluation pass: the trainer's losses, predict() and the flows'
-/// predict_batch_head/_blend all run it.
+/// running statistics).  Evaluation is const and has one path: the SAGE
+/// trunk computes each distinct row once per call (nn::intern_rows), mean
+/// pooling reads each sample's rows from those classes, and the MLP and
+/// BatchNorm run on chunks of kPredictBatch samples.  The trainer's
+/// losses and predict() reach it through forward_eval() (one chunk), the
+/// flows through predict_batch_head/_blend (one trunk pass over every
+/// sample of the call).  Predictions are bit-identical to the dense
+/// training pass without dropout, chunk by chunk.
 
 #include <cstdint>
 #include <filesystem>
@@ -106,10 +111,10 @@ public:
     /// dropout and never touches the layer backward caches, so one model
     /// instance serves concurrent inference (the FlowService shares
     /// shared_ptr<const BoolGebraModel> snapshots across in-flight jobs).
-    /// `scratch` holds the per-thread temporaries — reuse one instance
-    /// per thread across calls, never share it.
+    /// The batch is one BatchNorm chunk; the trunk computes each distinct
+    /// row of it once.
     nn::Matrix forward_eval(nn::ConstMatrixView x, const nn::Csr& csr,
-                            std::size_t batch, nn::EvalScratch& scratch,
+                            std::size_t batch,
                             bg::ThreadPool* pool = nullptr) const;
 
     /// Back-propagate dL/dpred; accumulates parameter gradients.
@@ -129,7 +134,8 @@ public:
     const std::vector<float>& input_mean() const { return in_mean_; }
     const std::vector<float>& input_std() const { return in_std_; }
 
-    /// Default samples-per-forward chunk for the predict helpers.
+    /// Default samples per MLP and BatchNorm chunk for the predict
+    /// helpers; the chunk is part of the prediction.
     static constexpr std::size_t kPredictBatch = 64;
 
     /// Convenience inference: the first head's predictions (the size head
@@ -145,11 +151,11 @@ public:
     /// Batched inference over a pre-stacked feature matrix, returning the
     /// column of head `head` (an index into heads(); resolve metrics with
     /// head_index()).  `stacked` is (B * num_nodes, feature_dim) row-major
-    /// with each sample's node block contiguous.  Chunks of `batch_size`
-    /// samples go through forward_eval() as zero-copy row-panel views;
-    /// results are identical to per-sample inference.  Const and
-    /// cache-free: safe to call concurrently from many threads on one
-    /// shared model.
+    /// with each sample's node block contiguous.  The trunk runs once over
+    /// all B samples, computing each distinct row once; the MLP and
+    /// BatchNorm then run on chunks of `batch_size` pooled samples, so the
+    /// bits are forward_eval()'s on each chunk.  Const and cache-free:
+    /// safe to call concurrently from many threads on one shared model.
     std::vector<double> predict_batch_head(
         const nn::Csr& csr, std::size_t num_nodes,
         nn::ConstMatrixView stacked, std::size_t head,
@@ -176,6 +182,14 @@ public:
     void load(const std::filesystem::path& path);
 
 private:
+    /// The evaluation trunk: the three SAGE layers over the distinct rows
+    /// of `x` ((batch * N, feature_dim)), mean-pooled to (batch, F).
+    nn::Matrix trunk_eval(nn::ConstMatrixView x, const nn::Csr& csr,
+                          std::size_t batch, bg::ThreadPool* pool) const;
+    /// The evaluation MLP on pooled rows: one BatchNorm chunk ->
+    /// (rows, num_heads).
+    nn::Matrix mlp_eval(nn::ConstMatrixView pooled,
+                        bg::ThreadPool* pool) const;
     /// Shared predict_batch_head/_blend driver: `score` maps one row of
     /// the (b, num_heads) forward output to the sample's scalar score.
     std::vector<double> predict_batch_scored(
@@ -184,7 +198,7 @@ private:
         bg::ThreadPool* pool,
         const std::function<double(const nn::Matrix&, std::size_t)>& score)
         const;
-    /// Standardize `x` into the same-shaped `y`.
+    /// Standardize `x` into the same-shaped `y` (which may be `x`).
     void standardize_into(nn::ConstMatrixView x, nn::MatrixView y) const;
 
     ModelConfig cfg_;

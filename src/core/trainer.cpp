@@ -47,7 +47,6 @@ void for_each_eval_batch(const BoolGebraModel& model, const Dataset& ds,
                          std::span<const std::size_t> indices,
                          std::size_t batch_size, const Visit& visit) {
     BG_EXPECTS(batch_size > 0, "evaluation batch size must be positive");
-    nn::EvalScratch scratch;
     Matrix x;
     Matrix labels;
     Matrix mask;
@@ -55,7 +54,7 @@ void for_each_eval_batch(const BoolGebraModel& model, const Dataset& ds,
         const std::size_t b = std::min(batch_size, indices.size() - start);
         make_batch(ds, indices.subspan(start, b), model.config(), x, labels,
                    mask);
-        const Matrix pred = model.forward_eval(x, ds.csr(), b, scratch);
+        const Matrix pred = model.forward_eval(x, ds.csr(), b);
         visit(pred, labels, mask, b);
     }
 }

@@ -14,8 +14,8 @@
 /// and never touches the backward caches, so one model instance can serve
 /// concurrent inference (the FlowService shares a
 /// `shared_ptr<const BoolGebraModel>` across jobs).  Dropout has none: it
-/// is the identity at evaluation time, and the model skips it.  Per-thread
-/// temporaries live in an EvalScratch the caller threads through.
+/// is the identity at evaluation time, and the model skips it.  Each call
+/// allocates its own outputs, so concurrent calls share no buffer.
 
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
@@ -27,18 +27,6 @@ struct ParamRef {
     float* value = nullptr;
     float* grad = nullptr;
     std::size_t size = 0;
-};
-
-/// Reusable temporaries for the const eval-mode forward path.  Buffers are
-/// sized by the first (largest) chunk and reused across forward_eval()
-/// calls — a smaller chunk uses a row prefix — so a long inference stream
-/// allocates once.  One scratch per thread: instances must never be
-/// shared between concurrent forwards.
-struct EvalScratch {
-    Matrix standardized;  ///< model input standardization buffer
-    /// SageConv layer outputs, one per conv layer: each layer reads the
-    /// previous one's buffer and writes its own.
-    std::vector<Matrix> sage_out;
 };
 
 class Linear {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "circuits/registry.hpp"
 #include "core/dataset.hpp"
@@ -13,6 +14,7 @@
 #include "core/trainer.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -78,9 +80,9 @@ TEST(Model, DeterministicInference) {
 }
 
 TEST(Model, PaperWidthPredictionsBitEqualAtAnyPoolSize) {
-    // 66 samples run as chunks of 64 + 2, so the second chunk reuses a row
-    // prefix of the first chunk's layer buffers.  The paper's 512-wide
-    // layers span many row panels per chunk; the pool only schedules them.
+    // 66 samples: the trunk runs once over all of them, then the MLP and
+    // BatchNorm run on chunks of 64 + 2.  The paper's 512-wide layers
+    // span many row panels; the pool only schedules them.
     const Aig g = bg::circuits::make_benchmark_scaled("b07", 0.25);
     const Dataset ds = build_dataset(g, generate_guided_samples(g, 66, 7));
     const bg::nn::Matrix x = stacked_features(ds);
@@ -104,6 +106,86 @@ TEST(Model, PaperWidthPredictionsBitEqualAtAnyPoolSize) {
     }
 }
 
+TEST(Model, DistinctRowPredictionsBitEqualDenseTrainingForward) {
+    // predict_batch_head computes each distinct trunk row once; the
+    // training forward() computes every row of every 64-sample chunk.
+    // Guided samples repeat rows at every layer, random continuous
+    // features repeat none; either way, with input statistics or without,
+    // at any pool size, the predictions are the dense pass's bits.
+    const Aig g = bg::circuits::make_benchmark_scaled("b07", 0.25);
+    const Dataset ds = build_dataset(g, generate_guided_samples(g, 66, 7));
+    const std::size_t n = ds.num_nodes();
+    const std::size_t samples = ds.size();
+    ASSERT_EQ(samples, 66u);
+    const bg::nn::Matrix guided = stacked_features(ds);
+    bg::nn::Matrix random(guided.rows(), guided.cols());
+    bg::Rng rng(19);
+    for (auto& v : random.data()) {
+        v = static_cast<float>(rng.next_gaussian()) * 3.0F;
+    }
+    ModelConfig cfg = ModelConfig::paper();
+    cfg.dropout = 0.0F;
+    std::vector<std::unique_ptr<bg::ThreadPool>> pools;
+    pools.emplace_back();  // null pool: inline
+    for (const std::size_t workers : {1UL, 2UL, 4UL}) {
+        pools.push_back(std::make_unique<bg::ThreadPool>(workers));
+    }
+    const struct {
+        const char* name;
+        const bg::nn::Matrix& x;
+        bool rows_repeat;
+    } batches[] = {{"guided", guided, true}, {"random", random, false}};
+    for (const auto& batch : batches) {
+        const auto classes = bg::nn::intern_rows(batch.x, ds.csr(), samples,
+                                                 cfg.sage_dims.size());
+        ASSERT_EQ(classes.cls.size(), cfg.sage_dims.size() + 1);
+        for (std::size_t l = 0; l < classes.cls.size(); ++l) {
+            if (batch.rows_repeat) {
+                EXPECT_LT(classes.count(l), batch.x.rows())
+                    << batch.name << " layer " << l;
+            } else {
+                EXPECT_EQ(classes.count(l), batch.x.rows())
+                    << batch.name << " layer " << l;
+            }
+        }
+        for (const bool stats : {false, true}) {
+            BoolGebraModel model(cfg);
+            if (stats) {
+                model.set_input_stats(std::vector<float>(feature_dim, 0.25F),
+                                      std::vector<float>(feature_dim, 3.0F));
+            }
+            // The reference runs on the widest pool only for speed: the
+            // null-pool predictions below are compared with it too.
+            std::vector<double> dense;
+            for (std::size_t start = 0; start < samples;
+                 start += BoolGebraModel::kPredictBatch) {
+                const std::size_t b =
+                    std::min(BoolGebraModel::kPredictBatch, samples - start);
+                const bg::nn::Matrix y =
+                    model.forward(batch.x.rows_view(start * n, b * n),
+                                  ds.csr(), b, pools.back().get());
+                for (std::size_t s = 0; s < b; ++s) {
+                    dense.push_back(y.at(s, 0));
+                }
+            }
+            EXPECT_NE(*std::min_element(dense.begin(), dense.end()),
+                      *std::max_element(dense.begin(), dense.end()));
+            for (std::size_t p = 0; p < pools.size(); ++p) {
+                const auto pred = model.predict_batch_head(
+                    ds.csr(), n, batch.x, 0, BoolGebraModel::kPredictBatch,
+                    pools[p].get());
+                ASSERT_EQ(pred.size(), samples);
+                for (std::size_t s = 0; s < samples; ++s) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(pred[s]),
+                              std::bit_cast<std::uint64_t>(dense[s]))
+                        << batch.name << " stats=" << stats << " pool#" << p
+                        << " sample " << s;
+                }
+            }
+        }
+    }
+}
+
 TEST(Model, TrainingForwardMatchesEvalForwardBitForBit) {
     // Without dropout the two passes share every operation: the SAGE
     // layers run one kernel, and BatchNorm normalizes a multi-row batch
@@ -114,8 +196,7 @@ TEST(Model, TrainingForwardMatchesEvalForwardBitForBit) {
     ASSERT_EQ(model.config().dropout, 0.0F);
     model.set_input_stats(std::vector<float>(feature_dim, 0.5F),
                           std::vector<float>(feature_dim, 2.0F));
-    bg::nn::EvalScratch scratch;
-    const bg::nn::Matrix eval = model.forward_eval(x, ds.csr(), 6, scratch);
+    const bg::nn::Matrix eval = model.forward_eval(x, ds.csr(), 6);
     const bg::nn::Matrix train = model.forward(x, ds.csr(), 6);
     ASSERT_EQ(train.rows(), eval.rows());
     ASSERT_EQ(train.cols(), eval.cols());

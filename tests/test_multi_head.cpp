@@ -103,8 +103,7 @@ TEST(MultiHead, ForwardIsOneColumnPerHead) {
         const auto& feats = ds.samples()[s].features;
         std::copy(feats.begin(), feats.end(), x.row(s * ds.num_nodes()));
     }
-    nn::EvalScratch scratch;
-    const auto pred = model.forward_eval(x, ds.csr(), 2, scratch);
+    const auto pred = model.forward_eval(x, ds.csr(), 2);
     EXPECT_EQ(pred.rows(), 2u);
     EXPECT_EQ(pred.cols(), 3u);
     for (std::size_t s = 0; s < pred.rows(); ++s) {

@@ -477,12 +477,45 @@ Matrix sage_reference(ConstMatrixView x, const Csr& csr, const Matrix& w_self,
     return y;
 }
 
+/// A class map over `batch` samples of `n` nodes whose operands repeat
+/// (fewer operand rows than (sample, node) pairs) in random order, and
+/// whose output rows list every (sample, node) row shuffled, then the
+/// first few again.
+struct MappedCase {
+    std::vector<std::uint32_t> rows;
+    std::vector<std::uint32_t> operands;
+    std::size_t operand_rows = 0;
+};
+
+MappedCase random_map(std::size_t batch, std::size_t n, bg::Rng& rng) {
+    MappedCase mc;
+    const std::size_t total = batch * n;
+    mc.operand_rows = total / 2 + 1;
+    mc.operands.resize(total);
+    for (auto& o : mc.operands) {
+        o = static_cast<std::uint32_t>(rng.next_below(mc.operand_rows));
+    }
+    mc.rows.resize(total);
+    for (std::size_t v = 0; v < total; ++v) {
+        mc.rows[v] = static_cast<std::uint32_t>(v);
+    }
+    for (std::size_t v = total; v > 1; --v) {
+        std::swap(mc.rows[v - 1], mc.rows[rng.next_below(v)]);
+    }
+    for (std::size_t k = 0; k < std::min<std::size_t>(total, 5); ++k) {
+        mc.rows.push_back(mc.rows[k]);
+    }
+    return mc;
+}
+
 TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
     // The fused per-panel layer must reproduce the unfused composition bit
     // for bit: row counts off the 64-row panel grid, widths off the
     // 32-wide register tile, hub-skewed and isolated-node graphs, the
     // on-the-fly 1/deg fallback, strided inputs, stale output buffers, and
-    // any pool size.
+    // any pool size.  The mapped form must too: it computes listed rows,
+    // repeated and reordered, from operand rows that repeat, and the
+    // isolated graph gives some of them no neighbours.
     bg::Rng rng(2024);
     struct GraphCase {
         const char* name;
@@ -504,11 +537,27 @@ TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
     }
     const float nan = std::numeric_limits<float>::quiet_NaN();
     for (const auto& gc : graphs) {
-        const std::size_t rows = gc.batch * gc.csr.num_nodes();
+        const std::size_t n = gc.csr.num_nodes();
+        const std::size_t rows = gc.batch * n;
+        const MappedCase mc = random_map(gc.batch, n, rng);
+        const RowMap map{gc.batch, mc.rows, mc.operands};
         for (const std::size_t in : {1UL, 12UL, 33UL, 48UL}) {
             // A column block of a wider matrix: a strided input view.
             const Matrix x_store = random_matrix(rows, in + 3, rng, 2.0F);
             const ConstMatrixView x = x_store.view().block(0, 1, rows, in);
+            const Matrix ops_store =
+                random_matrix(mc.operand_rows, in + 3, rng, 2.0F);
+            const ConstMatrixView ops =
+                ops_store.view().block(0, 1, mc.operand_rows, in);
+            // The stacked input the map stands for: row (s, j) is its
+            // operand row.
+            Matrix dense(rows, in);
+            for (std::size_t s = 0; s < gc.batch; ++s) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    const float* src = ops.row(mc.operands[j * gc.batch + s]);
+                    std::copy(src, src + in, dense.row(s * n + j));
+                }
+            }
             for (const std::size_t width : {24UL, 33UL, 64UL, 512UL}) {
                 SageConv conv(in, width, rng);
                 auto params = conv.params();
@@ -522,16 +571,29 @@ TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
                             w_self.data().data());
                 std::copy_n(params[1].value, w_neigh.size(),
                             w_neigh.data().data());
-                const Matrix ref = sage_reference(
-                    x, gc.csr, w_self, w_neigh,
-                    std::span<const float>(params[2].value, width));
+                const std::span<const float> bias(params[2].value, width);
+                const Matrix ref =
+                    sage_reference(x, gc.csr, w_self, w_neigh, bias);
+                const Matrix dense_ref =
+                    sage_reference(dense, gc.csr, w_self, w_neigh, bias);
+                // Mapped output row k is dense row (s, i) for
+                // rows[k] = i*batch + s.
+                Matrix mapped_ref(mc.rows.size(), width);
+                for (std::size_t k = 0; k < mc.rows.size(); ++k) {
+                    const std::size_t s = mc.rows[k] % gc.batch;
+                    const std::size_t i = mc.rows[k] / gc.batch;
+                    std::copy_n(dense_ref.row(s * n + i), width,
+                                mapped_ref.row(k));
+                }
                 const auto expect_ref = [&](ConstMatrixView got,
+                                            const Matrix& want,
                                             const char* pass,
                                             std::size_t p) {
-                    for (std::size_t r = 0; r < rows; ++r) {
+                    for (std::size_t r = 0; r < want.rows(); ++r) {
                         for (std::size_t c = 0; c < width; ++c) {
-                            ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(r, c)),
-                                      std::bit_cast<std::uint32_t>(ref.at(r, c)))
+                            ASSERT_EQ(
+                                std::bit_cast<std::uint32_t>(got.at(r, c)),
+                                std::bit_cast<std::uint32_t>(want.at(r, c)))
                                 << gc.name << " in=" << in << " out=" << width
                                 << " " << pass << " pool#" << p << " at (" << r
                                 << ", " << c << ")";
@@ -540,22 +602,30 @@ TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
                 };
                 // Stale storage: a NaN-filled buffer two rows taller than
                 // the layer, written through a row-prefix view.
-                Matrix out(rows + 2, width);
-                for (std::size_t p = 0; p < pools.size(); ++p) {
+                const auto run_eval = [&](const RowMap& m,
+                                          std::size_t out_rows,
+                                          std::size_t p) {
+                    Matrix out(out_rows + 2, width);
                     out.fill(nan);
-                    conv.forward_eval(x, gc.csr, gc.batch,
-                                      out.rows_view(0, rows),
+                    conv.forward_eval(m.rows.empty() ? x : ops, gc.csr, m,
+                                      out.rows_view(0, out_rows),
                                       pools[p].get());
-                    expect_ref(out, "eval", p);
-                    for (std::size_t r = rows; r < rows + 2; ++r) {
+                    for (std::size_t r = out_rows; r < out_rows + 2; ++r) {
                         for (std::size_t c = 0; c < width; ++c) {
-                            ASSERT_TRUE(std::isnan(out.at(r, c)))
+                            EXPECT_TRUE(std::isnan(out.at(r, c)))
                                 << "wrote past the output view";
                         }
                     }
+                    return out;
+                };
+                for (std::size_t p = 0; p < pools.size(); ++p) {
+                    expect_ref(run_eval(RowMap::stacked(gc.batch), rows, p),
+                               ref, "eval", p);
+                    expect_ref(run_eval(map, mc.rows.size(), p), mapped_ref,
+                               "mapped", p);
                     const Matrix y =
                         conv.forward(x, gc.csr, gc.batch, pools[p].get());
-                    expect_ref(y, "train", p);
+                    expect_ref(y, ref, "train", p);
                 }
             }
         }

@@ -41,7 +41,7 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-CONTAINER_DIRS = ("src/aig", "src/cut", "src/opt")
+CONTAINER_DIRS = ("src/aig", "src/cut", "src/nn", "src/opt")
 RAW_FANIN_EXEMPT = ("src/aig", "src/io")
 MUTEX_DIRS = ("src/opt",)
 RAW_THREAD_EXEMPT = ("src/util/parallel.hpp", "src/util/parallel.cpp")
