@@ -4,17 +4,23 @@
 /// (verify::PortfolioCec) on an equivalent pair (design vs its rewritten
 /// twin) and a refuted pair (design vs a single flipped output).
 ///
+/// Full mode (--full) adds the large pair: a dense random 20k-AND graph
+/// against its rewrite+resub+refactor copy, with the strashed miter's
+/// variable count and the SAT stage's conflicts.
+///
 /// Exits 1 when the gate does not prove a rewritten pair Equivalent or
 /// refute a flipped pair NotEquivalent, when any engine reports the
 /// opposite definitive verdict, or when a reported counterexample does
 /// not distinguish its pair.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "aig/cec.hpp"
 #include "bench_common.hpp"
+#include "circuits/generators.hpp"
 #include "opt/standalone.hpp"
 #include "sat/cec_sat.hpp"
 #include "verify/portfolio.hpp"
@@ -58,6 +64,7 @@ struct Row {
     double sim_ms = 0.0;
     double sat_ms = 0.0;
     double gate_ms = 0.0;
+    std::uint64_t sat_conflicts = 0;
     CecVerdict verdict = CecVerdict::ProbablyEquivalent;
     bg::verify::Engine engine = bg::verify::Engine::None;
     bool ok = true;
@@ -89,6 +96,7 @@ Row measure(const Aig& a, const Aig& b, CecVerdict expected) {
         const bg::Stopwatch t;
         const auto r = bg::sat::check_equivalence_sat_full(a, b);
         row.sat_ms = t.seconds() * 1e3;
+        row.sat_conflicts = r.stats.conflicts;
         row.ok = consistent(a, b, expected, r.verdict, r.counterexample) &&
                  row.ok;
     }
@@ -135,6 +143,24 @@ int main(int argc, char** argv) {
                                 CecVerdict::NotEquivalent);
         print_row(name + " (flip)", neq);
         all_ok = all_ok && eq.ok && neq.ok;
+    }
+    if (scale.full) {
+        const Aig dense = bg::circuits::dense_random_aig(64, 20000, 1);
+        Aig optimized = dense;
+        for (const auto op : {bg::opt::OpKind::Rewrite, bg::opt::OpKind::Resub,
+                              bg::opt::OpKind::Refactor}) {
+            (void)bg::opt::standalone_pass(optimized, op);
+        }
+        bg::sat::Solver miter;
+        (void)bg::sat::encode_miter(miter, dense, optimized);
+        const Row row = measure(dense, optimized, CecVerdict::Equivalent);
+        print_row("dense 20k", row);
+        std::printf("dense 20k: %zu against %zu ANDs, miter %d vars, SAT "
+                    "%llu conflicts in %.1f ms, gate %.1f ms\n",
+                    dense.num_ands(), optimized.num_ands(), miter.num_vars(),
+                    static_cast<unsigned long long>(row.sat_conflicts),
+                    row.sat_ms, row.gate_ms);
+        all_ok = all_ok && row.ok;
     }
     if (!all_ok) {
         std::printf("\nFAIL: a pair got the wrong verdict or a"

@@ -60,15 +60,13 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
     }
 
     const MiterEncoding enc = encode_miter(solver, a, b);
-    if (enc.diff_lits.empty()) {
-        // Zero POs: no observable behaviour, trivially equivalent.
-        res.verdict = aig::CecVerdict::Equivalent;
-        return res;
-    }
+    // Pairs that strash to one literal need no solve.
+    res.stats.outputs_proven = a.num_pos() - enc.diff_lits.size();
+    res.stats.memory_bytes = solver.memory_estimate();
 
-    // One solve per output on the same instance.  Learned clauses persist
-    // across iterations, and conflict_budget counts lifetime conflicts, so
-    // the budget is global across all outputs.
+    // One solve per remaining output on the same instance.  Learned
+    // clauses persist across iterations, and conflict_budget counts
+    // lifetime conflicts, so the budget is global across all outputs.
     for (const Lit diff : enc.diff_lits) {
         int retries = 0;
         while (true) {
@@ -89,7 +87,7 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
             ++res.stats.cex_found;
             std::vector<bool> cex(a.num_pis());
             for (std::size_t j = 0; j < a.num_pis(); ++j) {
-                cex[j] = solver.model_value(enc.map_a[a.pi(j)]);
+                cex[j] = solver.model_value(enc.pi_vars[j]);
             }
             // Validate against *all* output pairs — also the reuse step:
             // a pattern found for this output refutes through any output
@@ -113,7 +111,7 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
             std::vector<Lit> block;
             block.reserve(a.num_pis());
             for (std::size_t j = 0; j < a.num_pis(); ++j) {
-                block.push_back(mk_lit(enc.map_a[a.pi(j)], cex[j]));
+                block.push_back(mk_lit(enc.pi_vars[j], cex[j]));
             }
             if (!solver.add_clause(std::move(block))) {
                 // Blocking collapsed the instance (e.g. zero PIs); the

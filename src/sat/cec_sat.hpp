@@ -4,10 +4,12 @@
 /// SAT-backed combinational equivalence checking: a definitive verdict
 /// for designs whose PI count is beyond exhaustive simulation.
 ///
-/// The core is *incremental*: one solver instance holds the shared-input
-/// miter, and the per-output XOR selectors are discharged one by one
-/// under assumptions, so learned clauses from output i prune the search
-/// for output i+1 (what makes multi-output miters cheap).  Every SAT
+/// The core is *incremental*: one solver instance holds the strashed
+/// miter of sat/cnf.hpp, in which both graphs share every structurally
+/// equal node and output pairs that strash to one literal are proven
+/// outright.  The remaining per-output XOR selectors are discharged one
+/// by one under assumptions, so learned clauses from output i prune the
+/// search for output i+1 (what makes multi-output miters cheap).  Every SAT
 /// counterexample is re-validated by simulating it against *all* output
 /// pairs before NotEquivalent is reported — validation doubles as
 /// counterexample reuse (a pattern found for output i refutes via any
@@ -45,8 +47,9 @@ struct SatCecOptions {
     const bg::CancelToken* cancel = nullptr;
     /// Wall-clock budget in seconds (0 = unlimited).
     double timeout_seconds = 0.0;
-    /// Approximate heap cap for the solver instance (miter CNF + learned
-    /// clauses, which this solver never deletes); 0 = unlimited.  A hard
+    /// Heap cap for the solver instance (its clause arena, watcher lists
+    /// and per-variable arrays; learned clauses, which this solver never
+    /// deletes, dominate on hard miters); 0 = unlimited.  A hard
     /// miter that crosses the cap degrades to ProbablyEquivalent
     /// (SatCecStats::memory_limited) instead of growing without bound —
     /// the solver budget the multi-tenant server relies on.
@@ -56,11 +59,12 @@ struct SatCecOptions {
 /// Work accounting of one SAT equivalence check.
 struct SatCecStats {
     std::size_t outputs_total = 0;
-    std::size_t outputs_proven = 0;  ///< per-output Unsat results
+    /// Output pairs proven: strashed to one literal, or Unsat per output.
+    std::size_t outputs_proven = 0;
     std::size_t cex_found = 0;       ///< SAT models extracted
     std::size_t spurious_cex = 0;    ///< models that failed simulation
     std::uint64_t conflicts = 0;     ///< solver conflicts spent
-    std::size_t memory_bytes = 0;    ///< solver footprint estimate
+    std::size_t memory_bytes = 0;    ///< Solver::memory_estimate()
     bool memory_limited = false;     ///< degraded by max_memory_bytes
 };
 

@@ -37,39 +37,60 @@ Lit lit_for(const std::vector<Var>& mapping, aig::NodeRef r) {
     return mk_lit(v, r.complemented());
 }
 
+namespace {
+
+/// Copy the live ANDs of `g` into `u` over the PIs `pis` through
+/// Aig::and_, so nodes matching existing ones are shared; returns g's PO
+/// literals in `u`.
+std::vector<aig::Lit> strash_into(aig::Aig& u, const std::vector<aig::Lit>& pis,
+                                  const aig::Aig& g) {
+    std::vector<aig::Lit> map(g.num_slots(), aig::null_lit);
+    map[0] = aig::lit_false;
+    for (std::size_t i = 0; i < g.num_pis(); ++i) {
+        map[g.pi(i)] = pis[i];
+    }
+    for (const aig::Var v : g.topo_ands()) {
+        const auto [f0, f1] = g.fanin_refs(v);
+        map[v] = u.and_(aig::lit_not_cond(map[f0.index()], f0.complemented()),
+                        aig::lit_not_cond(map[f1.index()], f1.complemented()));
+    }
+    std::vector<aig::Lit> pos(g.num_pos());
+    for (std::size_t i = 0; i < g.num_pos(); ++i) {
+        const aig::NodeRef po = g.po_ref(i);
+        pos[i] = aig::lit_not_cond(map[po.index()], po.complemented());
+    }
+    return pos;
+}
+
+}  // namespace
+
 MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
                            const aig::Aig& b) {
     BG_EXPECTS(a.num_pis() == b.num_pis(),
                "miter requires matching PI counts");
     BG_EXPECTS(a.num_pos() == b.num_pos(),
                "miter requires matching PO counts");
+    aig::Aig u;
+    u.reserve(1 + a.num_pis() + a.num_ands() + b.num_ands());
+    const std::vector<aig::Lit> pis = u.add_pis(a.num_pis());
+    const std::vector<aig::Lit> po_a = strash_into(u, pis, a);
+    const std::vector<aig::Lit> po_b = strash_into(u, pis, b);
+    const std::vector<Var> map = encode_aig(solver, u);
+
     MiterEncoding enc;
-    enc.map_a = encode_aig(solver, a);
-
-    // Encode b over the SAME input variables.
-    enc.map_b.assign(b.num_slots(), -1);
-    enc.map_b[0] = enc.map_a[0];
-    for (std::size_t i = 0; i < b.num_pis(); ++i) {
-        enc.map_b[b.pi(i)] = enc.map_a[a.pi(i)];
+    enc.pi_vars.reserve(u.num_pis());
+    for (std::size_t i = 0; i < u.num_pis(); ++i) {
+        enc.pi_vars.push_back(map[u.pi(i)]);
     }
-    for (const aig::Var v : b.topo_ands()) {
-        enc.map_b[v] = solver.new_var();
-        const Lit x = mk_lit(enc.map_b[v]);
-        const auto [f0, f1] = b.fanin_refs(v);
-        const Lit fa = lit_for(enc.map_b, f0);
-        const Lit fb = lit_for(enc.map_b, f1);
-        solver.add_clause({lit_neg(x), fa});
-        solver.add_clause({lit_neg(x), fb});
-        solver.add_clause({x, lit_neg(fa), lit_neg(fb)});
-    }
-
-    // XOR selector per PO pair (nothing asserted about the selectors).
-    for (std::size_t i = 0; i < a.num_pos(); ++i) {
-        const Lit pa = lit_for(enc.map_a, a.po(i));
-        const Lit pb = lit_for(enc.map_b, b.po(i));
-        const Var x = solver.new_var();
-        const Lit xl = mk_lit(x);
-        // x <-> (pa XOR pb)
+    // XOR selector per PO pair left open (nothing asserted about them).
+    for (std::size_t i = 0; i < po_a.size(); ++i) {
+        if (po_a[i] == po_b[i]) {
+            continue;
+        }
+        const Lit pa = lit_for(map, po_a[i]);
+        const Lit pb = lit_for(map, po_b[i]);
+        const Lit xl = mk_lit(solver.new_var());
+        // xl <-> (pa XOR pb)
         solver.add_clause({lit_neg(xl), pa, pb});
         solver.add_clause({lit_neg(xl), lit_neg(pa), lit_neg(pb)});
         solver.add_clause({xl, lit_neg(pa), pb});

@@ -2,8 +2,15 @@
 
 /// \file cnf.hpp
 /// Tseitin encoding of AIGs into CNF and miter construction for the
-/// incremental SAT equivalence check in sat/cec_sat.hpp (what ABC's `cec`
-/// does).
+/// incremental SAT equivalence check in sat/cec_sat.hpp.
+///
+/// The miter is strashed, as in ABC's `&cec` (Mishchenko et al.,
+/// "Improvements to combinational equivalence checking", ICCAD'06): `a`
+/// and then `b` are copied into one AIG through Aig::and_, so every node
+/// of `b` that matches a node of `a` structurally reuses it, and the
+/// union is encoded once.  The solver never has to rediscover the
+/// equivalences the structure already shows, and a PO pair that strashes
+/// to one literal is proven without a solve.
 
 #include <vector>
 
@@ -24,19 +31,18 @@ Lit lit_for(const std::vector<Var>& mapping, aig::Lit l);
 /// encode hot path).
 Lit lit_for(const std::vector<Var>& mapping, aig::NodeRef r);
 
-/// A miter of two AIGs encoded into one solver: both networks share the
-/// PI variables, and each PO pair i carries a selector literal with
-/// diff_lits[i] <-> (po_a[i] XOR po_b[i]).  Nothing is asserted about the
-/// selectors themselves: the SAT CEC solves per output under the
-/// assumption diff_lits[i] on the same solver instance, keeping learned
-/// clauses across outputs.
+/// The strashed miter of two AIGs encoded into one solver.  Each PO pair
+/// whose two literals differ in the union carries a selector literal
+/// with diff <-> (po_a XOR po_b); the other pairs are already proven.
+/// Nothing is asserted about the selectors themselves: the SAT CEC
+/// solves per output under the assumption of its selector on the same
+/// solver instance, keeping learned clauses across outputs.
 struct MiterEncoding {
-    std::vector<Var> map_a;      ///< AIG var -> SAT var for `a`
-    std::vector<Var> map_b;      ///< AIG var -> SAT var for `b`
-    std::vector<Lit> diff_lits;  ///< one per PO pair
+    std::vector<Var> pi_vars;    ///< SAT var of each PI position
+    std::vector<Lit> diff_lits;  ///< one per PO pair strashing left open
 };
 
-/// Encode the shared-input miter of two interface-identical AIGs.
+/// Encode the strashed miter of two interface-identical AIGs.
 MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
                            const aig::Aig& b);
 

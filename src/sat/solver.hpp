@@ -5,8 +5,21 @@
 /// VSIDS-style activities, phase saving, geometric restarts) — the engine
 /// behind the SAT stage of the equivalence-checking pipeline
 /// (sat/cec_sat.hpp, verify/portfolio.hpp).  Deliberately
-/// minimal: no clause-database reduction or preprocessing; miters from
-/// this library's circuit sizes are comfortably in range.
+/// minimal: no clause-database reduction or preprocessing.
+///
+/// Its structures are MiniSat's (Eén & Sörensson, SAT'03):
+///  - decisions come from a binary order heap over the variables, keyed
+///    on activity (descending) and then index (ascending).  Assigned
+///    variables are popped lazily and re-inserted on backtrack; a bump
+///    sifts its variable up, and the 1e-100 activity rescale rebuilds the
+///    heap, because underflow can turn distinct activities into ties;
+///  - every clause lives in one flat arena as `[size, lits...]`, and a
+///    clause reference is the offset of its size word.
+/// The heap picks exactly the variable a linear scan for the highest
+/// activity, lowest index would, and the arena keeps each clause's
+/// literal order, so the search (every decision, conflict and
+/// propagation) is the same as with a scan and one vector per clause;
+/// test_sat pins the counts.
 
 #include <cstdint>
 #include <functional>
@@ -45,6 +58,8 @@ public:
     /// Solve under optional assumptions.  `conflict_budget` < 0 means
     /// unlimited; the budget counts *lifetime* conflicts, so incremental
     /// callers share one budget across a sequence of solve() calls.
+    /// Every return leaves the solver at decision level 0, ready for
+    /// add_clause().
     Result solve(const std::vector<Lit>& assumptions = {},
                  std::int64_t conflict_budget = -1);
 
@@ -57,17 +72,17 @@ public:
         interrupt_ = std::move(cb);
     }
 
-    /// Cap the solver's approximate heap footprint (0 = unlimited).  The
-    /// estimate (memory_estimate()) accounts variables, clause literals
-    /// and watcher lists — the structures that actually grow on hard
-    /// instances, dominated by learned clauses since this solver never
-    /// deletes them.  When a solve() crosses the cap it backtracks to
-    /// level 0 and returns Result::Unknown with memory_limit_hit() set —
-    /// a degrade-don't-die budget, same contract as the conflict budget.
+    /// Cap the solver's heap footprint (0 = unlimited), as measured by
+    /// memory_estimate().  When a solve() crosses the cap it backtracks
+    /// to level 0 and returns Result::Unknown with memory_limit_hit() set
+    /// — a degrade-don't-die budget, same contract as the conflict
+    /// budget.  Learned clauses dominate on hard instances, since this
+    /// solver never deletes them.
     void set_memory_limit(std::size_t bytes) { memory_limit_ = bytes; }
     std::size_t memory_limit() const { return memory_limit_; }
-    /// Approximate bytes held by variables, clauses and watchers.
-    std::size_t memory_estimate() const { return mem_bytes_; }
+    /// Bytes allocated for the clause arena, the watcher lists and the
+    /// per-variable arrays (capacities, not sizes).
+    std::size_t memory_estimate() const;
     /// True once any solve() returned Unknown because of the memory cap.
     bool memory_limit_hit() const { return memory_limit_hit_; }
 
@@ -79,12 +94,12 @@ public:
     std::uint64_t num_propagations() const { return propagations_; }
 
 private:
-    struct Clause {
-        std::vector<Lit> lits;
-        bool learned = false;
-    };
+    /// Offset of a clause's size word in arena_.
+    using CRef = std::int32_t;
+    static constexpr CRef kNoClause = -1;
+
     struct Watcher {
-        std::int32_t clause = 0;
+        CRef clause = 0;
         Lit blocker = 0;
     };
 
@@ -95,33 +110,47 @@ private:
         return a == 2 ? 2 : static_cast<std::int8_t>(a ^ (lit_sign(l) ? 1 : 0));
     }
 
-    void enqueue(Lit l, std::int32_t reason);
-    std::int32_t propagate();  ///< returns conflicting clause idx or -1
-    void analyze(std::int32_t conflict, std::vector<Lit>& learned,
-                 int& backtrack_level);
+    CRef alloc_clause(const std::vector<Lit>& lits);
+    void attach(CRef c);
+    void watch(Lit l, Watcher w);
+    void enqueue(Lit l, CRef reason);
+    CRef propagate();  ///< returns the conflicting clause or kNoClause
+    /// 1UIP analysis of `conflict` into learned_ (asserting literal
+    /// first, the highest-level other literal second).
+    void analyze(CRef conflict, int& backtrack_level);
     void backtrack(int level);
     Lit pick_branch();
     void bump(Var v);
     void decay() { var_inc_ /= 0.95; }
     int decision_level() const { return static_cast<int>(trail_lim_.size()); }
-    void attach(std::int32_t ci);
 
-    std::vector<Clause> clauses_;
+    // The order heap: heap_[0] is the variable a decision would take.
+    bool heap_before(Var x, Var y) const;
+    void heap_up(std::size_t i);
+    void heap_down(std::size_t i);
+    void heap_insert(Var v);
+    Var heap_pop();
+
+    std::vector<Lit> arena_;                     // [size, lits...] per clause
     std::vector<std::vector<Watcher>> watches_;  // indexed by literal
+    std::size_t watch_bytes_ = 0;                // sum of list capacities
     std::vector<std::int8_t> assigns_;           // per var: 0/1/2
     std::vector<std::int8_t> phase_;             // saved polarity
     std::vector<int> level_;
-    std::vector<std::int32_t> reason_;
+    std::vector<CRef> reason_;
     std::vector<Lit> trail_;
     std::vector<std::size_t> trail_lim_;
     std::size_t qhead_ = 0;
     std::vector<double> activity_;
     double var_inc_ = 1.0;
+    std::vector<Var> heap_;
+    std::vector<std::int32_t> heap_index_;  // position in heap_, -1 = absent
+    std::vector<std::int8_t> seen_;         // analyze() scratch, kept clear
+    std::vector<Lit> learned_;              // analyze() output
     std::vector<std::int8_t> model_;
     bool unsat_ = false;
     std::function<bool()> interrupt_;
     std::size_t memory_limit_ = 0;  ///< bytes; 0 = unlimited
-    std::size_t mem_bytes_ = 0;     ///< running footprint estimate
     bool memory_limit_hit_ = false;
 
     std::uint64_t conflicts_ = 0;

@@ -49,7 +49,7 @@ namespace bg::verify {
 enum class Engine {
     None,        ///< every stage degraded, was skipped or was cancelled
     Simulation,  ///< word-parallel exhaustive, seeded or random simulation
-    Sat,         ///< incremental SAT on the shared miter
+    Sat,         ///< incremental SAT on the strashed miter (sat/cnf.hpp)
     Cache,       ///< served from the result cache
 };
 

@@ -87,4 +87,32 @@ inline Aig redundant_aig(unsigned num_pis, int rounds, unsigned num_pos,
     return g;
 }
 
+/// Rebuild `source` with the first PO complemented: a definitively
+/// inequivalent twin (single-gate mutation at the output boundary).
+inline Aig flip_first_po(const Aig& source) {
+    const Aig src = source.compact();
+    Aig out;
+    std::vector<Lit> translate(src.num_slots(), 0);
+    translate[0] = aig::lit_false;
+    for (std::size_t i = 0; i < src.num_pis(); ++i) {
+        translate[src.pi(i)] = out.add_pi();
+    }
+    for (const aig::Var v : src.topo_ands()) {
+        const Lit f0 = src.fanin0(v);
+        const Lit f1 = src.fanin1(v);
+        translate[v] = out.and_(
+            lit_not_cond(translate[aig::lit_var(f0)], aig::lit_is_compl(f0)),
+            lit_not_cond(translate[aig::lit_var(f1)], aig::lit_is_compl(f1)));
+    }
+    for (std::size_t i = 0; i < src.num_pos(); ++i) {
+        Lit po = lit_not_cond(translate[aig::lit_var(src.po(i))],
+                              aig::lit_is_compl(src.po(i)));
+        if (i == 0) {
+            po = lit_not(po);
+        }
+        out.add_po(po);
+    }
+    return out;
+}
+
 }  // namespace bg::test

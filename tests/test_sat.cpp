@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
 
@@ -116,24 +118,8 @@ TEST(Sat, PigeonholeUnsat) {
     }
 }
 
-TEST(Sat, AssumptionsRestrictModels) {
-    Solver s;
-    const Var x = s.new_var();
-    const Var y = s.new_var();
-    EXPECT_TRUE(s.add_clause({mk_lit(x), mk_lit(y)}));
-    ASSERT_EQ(s.solve({mk_lit(x, true)}), Result::Sat);
-    EXPECT_FALSE(s.model_value(x));
-    EXPECT_TRUE(s.model_value(y));
-    // Contradictory assumptions.
-    EXPECT_EQ(s.solve({mk_lit(x, true), mk_lit(y, true)}), Result::Unsat);
-    // Solver is reusable afterwards.
-    EXPECT_EQ(s.solve(), Result::Sat);
-}
-
-TEST(Sat, ConflictBudgetReturnsUnknown) {
-    // A hard pigeonhole with a tiny budget must give Unknown, not hang.
-    const int n = 7;
-    Solver s;
+/// PHP(n+1, n): n+1 pigeons in n holes, UNSAT for every n.
+void add_pigeonhole(Solver& s, int n) {
     std::vector<std::vector<Var>> p(static_cast<std::size_t>(n + 1));
     for (int i = 0; i <= n; ++i) {
         for (int j = 0; j < n; ++j) {
@@ -159,6 +145,127 @@ TEST(Sat, ConflictBudgetReturnsUnknown) {
             }
         }
     }
+}
+
+/// Seeded uniform random 3-SAT: `num_clauses` clauses over `num_vars`
+/// fresh variables (repeated literals allowed; the solver normalizes).
+void add_random_3sat(Solver& s, int num_vars, int num_clauses,
+                     std::uint64_t seed) {
+    bg::Rng rng(seed);
+    const Var base = s.num_vars();
+    for (int v = 0; v < num_vars; ++v) {
+        (void)s.new_var();
+    }
+    for (int c = 0; c < num_clauses; ++c) {
+        std::vector<Lit> clause;
+        for (int k = 0; k < 3; ++k) {
+            clause.push_back(mk_lit(
+                base + static_cast<Var>(rng.next_below(
+                           static_cast<std::uint64_t>(num_vars))),
+                rng.next_bool()));
+        }
+        (void)s.add_clause(clause);
+    }
+}
+
+struct SearchCounts {
+    std::uint64_t conflicts = 0;
+    std::uint64_t decisions = 0;
+    std::uint64_t propagations = 0;
+};
+
+void expect_counts(const Solver& s, const SearchCounts& want,
+                   const char* instance) {
+    EXPECT_EQ(s.num_conflicts(), want.conflicts) << instance;
+    EXPECT_EQ(s.num_decisions(), want.decisions) << instance;
+    EXPECT_EQ(s.num_propagations(), want.propagations) << instance;
+}
+
+TEST(Sat, SearchUnchangedByOrderHeapAndArena) {
+    // The order heap breaks activity ties on the lower variable index,
+    // exactly like a linear scan over all variables, and the clause arena
+    // keeps every clause's literal order and every watcher list's order.
+    // So the search itself is pinned: these counts were recorded with the
+    // linear-scan, vector-per-clause solver and must never move.
+    {
+        // Over 4,490 conflicts: var_inc passes 1e100, so the activity
+        // rescale (and the heap rebuild after it) runs mid-search.  The
+        // budget stops the search about a third of the way to its proof.
+        Solver s;
+        add_pigeonhole(s, 8);
+        EXPECT_EQ(s.solve({}, 5000), Result::Unknown);
+        EXPECT_GT(s.num_conflicts(), 4490u);
+        expect_counts(s, {5001, 6062, 62146}, "PHP(9, 8)");
+    }
+    const SearchCounts random_counts[] = {
+        {358, 465, 10190}, {778, 919, 20148}, {508, 642, 14160}};
+    const Result random_results[] = {Result::Sat, Result::Unsat, Result::Sat};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Solver s;
+        add_random_3sat(s, 120, 510, seed);
+        EXPECT_EQ(s.solve(), random_results[seed - 1]) << "seed " << seed;
+        expect_counts(s, random_counts[seed - 1], "random 3-SAT");
+    }
+    {
+        // One instance, many solves: learned clauses, saved phases and
+        // activities carry over from one assumption set to the next.
+        Solver s;
+        add_random_3sat(s, 100, 400, 7);
+        bg::Rng rng(11);
+        std::string results;
+        for (int round = 0; round < 24; ++round) {
+            std::vector<Lit> assumptions;
+            for (int k = 0; k < 4; ++k) {
+                assumptions.push_back(
+                    mk_lit(static_cast<Var>(rng.next_below(100)),
+                           rng.next_bool()));
+            }
+            const Result r = s.solve(assumptions);
+            results += r == Result::Sat ? 'S' : r == Result::Unsat ? 'U' : '?';
+        }
+        EXPECT_EQ(results, "SUSUUUUUUSSUSSUUUSUSSUUU");
+        expect_counts(s, {1107, 1501, 28037}, "assumption sequence");
+    }
+}
+
+TEST(Sat, AddClauseAfterFalsifiedAssumption) {
+    // Assuming x propagates y through (!x | y), so the next assumption
+    // !y is already false: solve() answers Unsat from decision level 1
+    // and must still leave the solver at level 0 for add_clause().
+    Solver s;
+    const Var x = s.new_var();
+    const Var y = s.new_var();
+    const Var z = s.new_var();
+    EXPECT_TRUE(s.add_clause({mk_lit(x, true), mk_lit(y)}));
+    EXPECT_EQ(s.solve({mk_lit(x), mk_lit(y, true)}), Result::Unsat);
+    EXPECT_TRUE(s.add_clause({mk_lit(z), mk_lit(x)}));
+    EXPECT_EQ(s.solve({mk_lit(x, true), mk_lit(z, true)}), Result::Unsat);
+    ASSERT_EQ(s.solve({mk_lit(x, true)}), Result::Sat);
+    EXPECT_FALSE(s.model_value(x));
+    EXPECT_TRUE(s.model_value(z));
+    ASSERT_EQ(s.solve(), Result::Sat);
+    EXPECT_TRUE(!s.model_value(x) || s.model_value(y));
+    EXPECT_TRUE(s.model_value(z) || s.model_value(x));
+}
+
+TEST(Sat, AssumptionsRestrictModels) {
+    Solver s;
+    const Var x = s.new_var();
+    const Var y = s.new_var();
+    EXPECT_TRUE(s.add_clause({mk_lit(x), mk_lit(y)}));
+    ASSERT_EQ(s.solve({mk_lit(x, true)}), Result::Sat);
+    EXPECT_FALSE(s.model_value(x));
+    EXPECT_TRUE(s.model_value(y));
+    // Contradictory assumptions.
+    EXPECT_EQ(s.solve({mk_lit(x, true), mk_lit(y, true)}), Result::Unsat);
+    // Solver is reusable afterwards.
+    EXPECT_EQ(s.solve(), Result::Sat);
+}
+
+TEST(Sat, ConflictBudgetReturnsUnknown) {
+    // A hard pigeonhole with a tiny budget must give Unknown, not hang.
+    Solver s;
+    add_pigeonhole(s, 7);
     EXPECT_EQ(s.solve({}, 50), Result::Unknown);
 }
 

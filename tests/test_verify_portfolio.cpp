@@ -28,35 +28,8 @@ namespace {
 using namespace bg::aig;  // NOLINT: test brevity
 using bg::verify::Engine;
 using bg::verify::PortfolioCec;
+using bg::test::flip_first_po;
 using bg::verify::PortfolioOptions;
-
-/// Rebuild `src` with the first PO complemented: a definitively
-/// inequivalent twin (single-gate mutation at the output boundary).
-Aig flip_first_po(const Aig& source) {
-    const Aig src = source.compact();
-    Aig out;
-    std::vector<Lit> translate(src.num_slots(), 0);
-    translate[0] = lit_false;
-    for (std::size_t i = 0; i < src.num_pis(); ++i) {
-        translate[src.pi(i)] = out.add_pi();
-    }
-    for (const Var v : src.topo_ands()) {
-        const Lit f0 = src.fanin0(v);
-        const Lit f1 = src.fanin1(v);
-        translate[v] = out.and_(
-            lit_not_cond(translate[lit_var(f0)], lit_is_compl(f0)),
-            lit_not_cond(translate[lit_var(f1)], lit_is_compl(f1)));
-    }
-    for (std::size_t i = 0; i < src.num_pos(); ++i) {
-        Lit po = lit_not_cond(translate[lit_var(src.po(i))],
-                              lit_is_compl(src.po(i)));
-        if (i == 0) {
-            po = lit_not(po);
-        }
-        out.add_po(po);
-    }
-    return out;
-}
 
 /// Simulate one PI assignment on both designs; true iff some PO differs.
 bool cex_distinguishes(const Aig& a, const Aig& b,
