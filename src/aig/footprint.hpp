@@ -9,7 +9,7 @@
 /// speculation.  Rather than threading a recorder through every signature
 /// in the cut/opt layers, the engines call `fp_touch(v)` at each point
 /// where a var's structure enters the computation (cut enumeration, MFFC
-/// walks, strash lookups, TFO scans, divisor expansion).  `fp_touch` is a
+/// walks, strash lookups, divisor expansion).  `fp_touch` is a
 /// thread-local pointer load plus a predictable branch — free when no
 /// recorder is active, which is every non-speculative call.
 ///

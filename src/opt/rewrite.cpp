@@ -17,17 +17,6 @@ using aig::Aig;
 using aig::Lit;
 using aig::Var;
 
-namespace {
-
-/// Lift a cut function over L <= 4 leaves to a 16-bit 4-variable function.
-/// The replication invariant of TruthTable makes this a truncation.
-std::uint16_t lift_to_u16(const tt::TruthTable& t) {
-    BG_ASSERT(t.num_vars() <= 4, "rewrite cut function too wide");
-    return static_cast<std::uint16_t>(t.words()[0] & 0xFFFFULL);
-}
-
-}  // namespace
-
 CheckResult check_rewrite(const Aig& g, Var v, const OptParams& params) {
     params.validate();
     if (!g.is_and(v) || g.is_dead(v)) {
@@ -39,8 +28,7 @@ CheckResult check_rewrite(const Aig& g, Var v, const OptParams& params) {
 
     CheckResult best;
     for (const auto& c : cuts) {
-        const std::uint16_t func = lift_to_u16(c.function);
-        const auto& structure = lib.structure_for(func);
+        const auto& structure = lib.structure_for(c.function);
 
         Candidate cand;
         // Pad operands to the library's four slots; padding slots are

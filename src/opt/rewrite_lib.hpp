@@ -40,7 +40,8 @@ public:
     /// Number of canonical classes synthesized so far (diagnostics).
     std::size_t classes_built() const { return canon_cache_.size(); }
 
-    /// Process-wide shared instance (single-threaded use).
+    /// This thread's instance: one library per thread (thread_local), so
+    /// its unsynchronized caches are never shared between threads.
     static RewriteLibrary& instance();
 
     /// Evaluate a structure over the four projection functions; exposed

@@ -154,11 +154,15 @@ int count_added_nodes(const Aig& g, Var root, const Candidate& cand,
     std::uint32_t next_virtual = 2;  // virtual var ids start at 1
     // Virtual strash over recipe steps: recipes are tiny (cut leaves plus
     // factored steps), so a flat vector with a linear probe beats any
-    // node-based map on this hot path.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> virtual_keys;
-    std::vector<ExtLit> virtual_vals;
-
-    std::vector<ExtLit> value(1 + cand.operands.size() + cand.steps.size());
+    // node-based map on this hot path.  Like the marks above, the vectors
+    // are per-thread scratch: rewrite calls this once per cut.
+    thread_local std::vector<std::pair<std::uint64_t, std::uint64_t>>
+        virtual_keys;
+    thread_local std::vector<ExtLit> virtual_vals;
+    thread_local std::vector<ExtLit> value;
+    virtual_keys.clear();
+    virtual_vals.clear();
+    value.assign(1 + cand.operands.size() + cand.steps.size(), ExtLit{});
     value[0] = ExtLit{aig::lit_false, 0};
     for (std::size_t i = 0; i < cand.operands.size(); ++i) {
         value[1 + i] = ExtLit{aig::make_lit(cand.operands[i]), 0};

@@ -75,9 +75,12 @@ MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
     const std::vector<aig::Lit> pis = u.add_pis(a.num_pis());
     const std::vector<aig::Lit> po_a = strash_into(u, pis, a);
     const std::vector<aig::Lit> po_b = strash_into(u, pis, b);
+    MiterEncoding enc;
+    if (po_a == po_b) {
+        return enc;  // every pair is proven: no solve reads the union
+    }
     const std::vector<Var> map = encode_aig(solver, u);
 
-    MiterEncoding enc;
     enc.pi_vars.reserve(u.num_pis());
     for (std::size_t i = 0; i < u.num_pis(); ++i) {
         enc.pi_vars.push_back(map[u.pi(i)]);

@@ -38,11 +38,13 @@ Lit lit_for(const std::vector<Var>& mapping, aig::NodeRef r);
 /// solves per output under the assumption of its selector on the same
 /// solver instance, keeping learned clauses across outputs.
 struct MiterEncoding {
-    std::vector<Var> pi_vars;    ///< SAT var of each PI position
+    std::vector<Var> pi_vars;    ///< SAT var of each PI position, if any
     std::vector<Lit> diff_lits;  ///< one per PO pair strashing left open
 };
 
-/// Encode the strashed miter of two interface-identical AIGs.
+/// Encode the strashed miter of two interface-identical AIGs.  When every
+/// PO pair strashes to one literal, nothing is encoded: `solver` is left
+/// untouched and both `pi_vars` and `diff_lits` are empty.
 MiterEncoding encode_miter(Solver& solver, const aig::Aig& a,
                            const aig::Aig& b);
 

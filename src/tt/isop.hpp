@@ -5,6 +5,17 @@
 /// tables.  This is the entry point refactoring uses to turn a collapsed
 /// cone function back into algebra, and the rewrite library uses it as one
 /// of its structure candidates.
+///
+/// The recursion runs over raw word arrays, as ABC's Kit_TruthIsop does: a
+/// frame splitting on x_v hands its children 2^v-bit tables, reads its
+/// cofactors as the two halves of its bounds when v >= 6, and takes its
+/// temporaries from one per-thread arena sized once per call (about eight
+/// tables of the input width).  Below six variables a frame works on
+/// single words.
+/// The split variable is the highest one either bound depends on, and the
+/// cubes come out in a fixed order: those with !x_v, those with x_v, then
+/// those without x_v.  Refactoring factors these covers, so that order is
+/// part of its results.
 
 #include "tt/sop.hpp"
 #include "tt/truth_table.hpp"

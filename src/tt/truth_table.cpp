@@ -6,20 +6,6 @@
 
 namespace bg::tt {
 
-namespace {
-
-/// masks[i] selects the minterms where variable i is 0 (for i < 6).
-constexpr std::uint64_t var0_masks[6] = {
-    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
-    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
-};
-
-std::size_t words_for(unsigned num_vars) {
-    return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
-}
-
-}  // namespace
-
 TruthTable::TruthTable(unsigned nv) : num_vars_(nv) {
     BG_EXPECTS(nv <= max_vars, "truth table too wide");
     words_.assign(words_for(nv), 0);
@@ -51,7 +37,7 @@ TruthTable TruthTable::nth_var(unsigned nv, unsigned i) {
     TruthTable t(nv);
     if (i < 6) {
         for (auto& w : t.words_) {
-            w = ~var0_masks[i];
+            w = kProjectionWords[i];
         }
         t.normalize();
     } else {
@@ -147,7 +133,7 @@ TruthTable TruthTable::cofactor0(unsigned i) const {
     if (i < 6) {
         const unsigned shift = 1U << i;
         for (auto& w : t.words_) {
-            const std::uint64_t lo = w & var0_masks[i];
+            const std::uint64_t lo = w & ~kProjectionWords[i];
             w = lo | (lo << shift);
         }
     } else {
@@ -167,7 +153,7 @@ TruthTable TruthTable::cofactor1(unsigned i) const {
     if (i < 6) {
         const unsigned shift = 1U << i;
         for (auto& w : t.words_) {
-            const std::uint64_t hi = w & ~var0_masks[i];
+            const std::uint64_t hi = w & kProjectionWords[i];
             w = hi | (hi >> shift);
         }
     } else {

@@ -10,15 +10,29 @@
 /// bitwise and cofactor operations work uniformly on whole words (the same
 /// convention ABC's Kit/Tt packages use).
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace bg::tt {
 
-/// Practical cap: refactoring collapses cones of at most ~14 leaves and
-/// equivalence checks enumerate at most 2^20 patterns.
+/// Practical cap: refactoring and resubstitution windows have at most 16
+/// leaves (OptParams::max_window_leaves) and equivalence checks enumerate
+/// at most 2^20 patterns.
 inline constexpr unsigned max_vars = 20;
+
+/// Words of a table over `num_vars` variables (one below six variables).
+constexpr std::size_t words_for(unsigned num_vars) {
+    return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
+}
+
+/// Word of the projection x_i for i < 6: bit m is bit i of m.  (For
+/// i >= 6, word w of x_i is all ones exactly when bit i - 6 of w is set.)
+inline constexpr std::uint64_t kProjectionWords[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
 
 class TruthTable {
 public:

@@ -251,6 +251,33 @@ TEST(AuditHooks, WellDeclaredCutEnumerationIsAuditClean) {
     }
 }
 
+TEST(AuditHooks, EveryCheckOpIsAuditClean) {
+    // Every read a check makes through the graph's accessors must be in
+    // its declared footprint: every AND of every registry design, for
+    // each of rw, rs and rf.  Resub declares its window and the fanout
+    // lists it scans; no walk of the root's fanout cone is involved.
+    for (const auto& name : bg::circuits::benchmark_names()) {
+        SCOPED_TRACE(name);
+        Aig g = bg::circuits::make_benchmark_scaled(name, 1.0);
+        g.update_levels();
+        for (const Var v : g.topo_ands()) {
+            for (const bg::opt::OpKind op :
+                 {bg::opt::OpKind::Rewrite, bg::opt::OpKind::Resub,
+                  bg::opt::OpKind::Refactor}) {
+                ReadFootprint fp;
+                audit::ShadowSet shadow;
+                {
+                    const FootprintScope declare(fp);
+                    const audit::ShadowScope observe(shadow);
+                    (void)bg::opt::check_op(g, v, op);
+                }
+                EXPECT_NO_THROW(verify_read_soundness(
+                    fp, shadow, v, bg::opt::to_string(op)));
+            }
+        }
+    }
+}
+
 TEST(AuditCorruption, UnjournaledRefCountBumpCaught) {
     Aig g = bg::test::random_aig(4, 20, 2, 7);
     const Var v = lit_var(g.pos()[0]);

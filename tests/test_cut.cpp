@@ -11,9 +11,9 @@ namespace {
 
 using namespace bg::aig;  // NOLINT: test brevity
 using bg::cut::cone_function;
-using bg::cut::cone_functions;
 using bg::cut::enumerate_cuts;
 using bg::cut::reconv_cut;
+using bg::cut::WindowTables;
 using bg::tt::TruthTable;
 
 TEST(CutEnum, SimpleAndGate) {
@@ -26,9 +26,11 @@ TEST(CutEnum, SimpleAndGate) {
     ASSERT_EQ(cuts.size(), 1u);  // only {a, b}
     EXPECT_EQ(cuts[0].leaves,
               (std::vector<Var>{lit_var(a), lit_var(b)}));
-    // function must be AND over two leaves
+    // function must be AND over two leaves, repeated across 16 bits
+    EXPECT_EQ(cuts[0].function, 0x8888);
     EXPECT_EQ(cuts[0].function, (TruthTable::nth_var(2, 0) &
-                                 TruthTable::nth_var(2, 1)));
+                                 TruthTable::nth_var(2, 1))
+                                    .to_u16());
 }
 
 TEST(CutEnum, TwoLevelConeEnumeratesAllCuts) {
@@ -95,7 +97,7 @@ TEST(CutEnum, CutFunctionsMatchSimulation) {
                     leaf_vals |= static_cast<std::uint64_t>(bit) << i;
                 }
                 const bool expect = (sims[root][0] >> m) & 1;
-                EXPECT_EQ(cut.function.get_bit(leaf_vals), expect)
+                EXPECT_EQ(((cut.function >> leaf_vals) & 1U) != 0, expect)
                     << "root " << root << " minterm " << m;
             }
         }
@@ -125,7 +127,7 @@ TEST(ReconvCut, PiRootHasNoCut) {
     EXPECT_TRUE(reconv_cut(g, lit_var(a), 8).empty());
 }
 
-TEST(ConeFunctions, CoversAllConeNodes) {
+TEST(WindowTables, CoversAllConeNodes) {
     Aig g;
     const Lit a = g.add_pi();
     const Lit b = g.add_pi();
@@ -134,10 +136,47 @@ TEST(ConeFunctions, CoversAllConeNodes) {
     const Lit y = g.and_(x, c);
     g.add_po(y);
     const std::vector<Var> leaves{lit_var(a), lit_var(b), lit_var(c)};
-    const auto fns = cone_functions(g, lit_var(y), leaves);
-    EXPECT_EQ(fns.size(), 5u);  // 3 leaves + x + y
-    EXPECT_EQ(fns.at(lit_var(x)),
-              (TruthTable::nth_var(3, 0) & TruthTable::nth_var(3, 1)));
+    WindowTables window;
+    window.reset(g, leaves);
+    const auto root_row = window.add_cone(g, lit_var(y));
+    EXPECT_EQ(window.num_rows(), 5u);  // 3 leaves + x + y
+    EXPECT_EQ(window.var(root_row), lit_var(y));
+    ASSERT_TRUE(window.contains(lit_var(x)));
+    const auto xt = TruthTable::nth_var(3, 0) & TruthTable::nth_var(3, 1);
+    EXPECT_EQ(window.words(window.row(lit_var(x)))[0], xt.words()[0]);
+    EXPECT_FALSE(window.contains(0));
+}
+
+TEST(WindowTables, AddAndExtendsAWideWindow) {
+    // Nine leaves: tables span eight words.  A side node appended after
+    // the cone reads both fanin rows, one of them complemented.
+    Aig g;
+    const auto pis = g.add_pis(9);
+    const Lit root = g.and_reduce(pis);
+    const Lit side = g.and_(lit_not(pis[8]), pis[0]);
+    g.add_po(root);
+    g.add_po(side);
+    const std::vector<Var> leaves(
+        {lit_var(pis[0]), lit_var(pis[1]), lit_var(pis[2]), lit_var(pis[3]),
+         lit_var(pis[4]), lit_var(pis[5]), lit_var(pis[6]), lit_var(pis[7]),
+         lit_var(pis[8])});
+    WindowTables window;
+    window.reset(g, leaves);
+    const auto root_row = window.add_cone(g, lit_var(root));
+    ASSERT_EQ(window.num_words(), 8u);
+    const auto [f0, f1] = g.fanin_refs(lit_var(side));
+    const auto side_row = window.add_and(lit_var(side), f0, f1);
+    TruthTable all = TruthTable::ones(9);
+    for (unsigned i = 0; i < 9; ++i) {
+        all &= TruthTable::nth_var(9, i);
+    }
+    const TruthTable expect_side =
+        ~TruthTable::nth_var(9, 8) & TruthTable::nth_var(9, 0);
+    for (std::size_t w = 0; w < 8; ++w) {
+        EXPECT_EQ(window.words(root_row)[w], all.words()[w]) << w;
+        EXPECT_EQ(window.words(side_row)[w], expect_side.words()[w]) << w;
+    }
+    EXPECT_EQ(cone_function(g, lit_var(root), leaves), all);
 }
 
 TEST(ConeFunctions, ThrowsWhenLeavesNotACut) {
@@ -162,7 +201,8 @@ TEST_P(CutSweep, EveryCutFunctionIsConsistent) {
     for (std::size_t idx = 0; idx < ands.size(); idx += 9) {
         for (const auto& cut : enumerate_cuts(g, ands[idx], 4, 10)) {
             // Recompute via cone_function — must agree with stored one.
-            EXPECT_EQ(cone_function(g, ands[idx], cut.leaves), cut.function);
+            EXPECT_EQ(cone_function(g, ands[idx], cut.leaves).to_u16(),
+                      cut.function);
         }
     }
 }

@@ -224,6 +224,42 @@ TEST(Factor, StringRenderingIsAlgebraic) {
     EXPECT_NE(str.find("+"), std::string::npos);
 }
 
+TEST(Isop, CoverDigestUnchanged) {
+    // Pins the cubes, in order, that the Minato-Morreale recursion over
+    // heap truth tables produced: isop(f), isop(on, dc) and
+    // isop_best_phase on seeded random functions of 5-12 variables and
+    // one of 16.  Refactoring factors these covers, so any change in the
+    // split variable or cube order would change its results.
+    std::uint64_t h = 0;
+    const auto add = [&](std::uint64_t x) {
+        std::uint64_t z = h + 0x9E3779B97F4A7C15ULL + x;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        h = z ^ (z >> 31);
+    };
+    const auto add_cover = [&](const Sop& s) {
+        add(s.num_vars());
+        add(s.num_cubes());
+        for (const Cube& c : s.cubes()) {
+            add(c.pos);
+            add(c.neg);
+        }
+    };
+    bg::Rng rng(2401);
+    for (unsigned nv : {5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 16u}) {
+        for (int iter = 0; iter < (nv == 16 ? 1 : 4); ++iter) {
+            const auto f = random_tt(nv, rng);
+            const auto care = random_tt(nv, rng);
+            add_cover(bg::tt::isop(f));
+            add_cover(bg::tt::isop(f & care, ~care));
+            bool complemented = false;
+            add_cover(bg::tt::isop_best_phase(f, complemented));
+            add(complemented ? 1 : 0);
+        }
+    }
+    EXPECT_EQ(h, 0xd351bb01fca3f45aULL) << "digest 0x" << std::hex << h;
+}
+
 class IsopFactorSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(IsopFactorSweep, EndToEndFunctionPreservation) {

@@ -6,6 +6,7 @@
 #include "opt/orchestrate.hpp"
 #include "opt/standalone.hpp"
 #include "sat/cec_sat.hpp"
+#include "sat/cnf.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -171,14 +172,22 @@ TEST(SatCec, DefaultMemoryBudgetUnobtrusive) {
 
 TEST(SatCec, IdenticalCopyNeedsNoSearch) {
     // Strashing b into a's node space maps every node of a compacted copy
-    // onto its original, so every output pair is proven without a solve.
-    // Side by side, these pairs took 3,698, 2,939, 5,515 and 30,598
-    // conflicts.
+    // onto its original, so every output pair is proven without a solve,
+    // and nothing is encoded: the solver stays as it was built.  Side by
+    // side, these pairs took 3,698, 2,939, 5,515 and 30,598 conflicts.
+    const std::size_t empty_solver = bg::sat::Solver().memory_estimate();
     for (const char* name : {"b11", "b12", "c2670", "c5315"}) {
         const Aig a = bg::circuits::make_benchmark_scaled(name, 1.0);
         const auto res = bg::sat::check_equivalence_sat_full(a, a.compact());
         EXPECT_EQ(res.verdict, CecVerdict::Equivalent) << name;
         EXPECT_EQ(res.stats.conflicts, 0u) << name;
+        EXPECT_EQ(res.stats.memory_bytes, empty_solver) << name;
+
+        bg::sat::Solver solver;
+        const auto enc = bg::sat::encode_miter(solver, a, a.compact());
+        EXPECT_TRUE(enc.pi_vars.empty()) << name;
+        EXPECT_TRUE(enc.diff_lits.empty()) << name;
+        EXPECT_EQ(solver.num_vars(), 0) << name;
         EXPECT_EQ(res.stats.outputs_proven, res.stats.outputs_total) << name;
         EXPECT_EQ(res.stats.outputs_total, a.num_pos()) << name;
     }

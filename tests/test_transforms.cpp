@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "aig/cec.hpp"
+#include "circuits/generators.hpp"
+#include "circuits/registry.hpp"
 #include "opt/transform.hpp"
 #include "test_helpers.hpp"
 
@@ -218,5 +224,119 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndOps, TransformSweep,
     ::testing::Combine(::testing::Values(11ULL, 22ULL, 33ULL, 44ULL, 55ULL),
                        ::testing::Values(0, 1, 2)));
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+    std::uint64_t z = h + 0x9E3779B97F4A7C15ULL + x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/// Digest of every check result of `g`: each live AND x {rw, rs, rf}, in
+/// topological order, over applicability, both gains, the estimate and
+/// the whole candidate recipe.
+std::uint64_t check_result_digest(Aig g) {
+    g.update_levels();
+    std::uint64_t h = 0;
+    const auto add = [&](std::int64_t x) {
+        h = mix(h, static_cast<std::uint64_t>(x));
+    };
+    for (const Var v : g.topo_ands()) {
+        for (const OpKind op :
+             {OpKind::Rewrite, OpKind::Resub, OpKind::Refactor}) {
+            const CheckResult r = check_op(g, v, op);
+            add(r.applicable ? 1 : 0);
+            add(r.gain.size_delta);
+            add(r.gain.depth_delta);
+            add(r.cand.est_gain);
+            add(static_cast<std::int64_t>(r.cand.operands.size()));
+            for (const Var o : r.cand.operands) {
+                add(o);
+            }
+            add(static_cast<std::int64_t>(r.cand.steps.size()));
+            for (const auto& s : r.cand.steps) {
+                add(s.in0);
+                add(s.in1);
+            }
+            add(r.cand.out);
+        }
+    }
+    return h;
+}
+
+TEST(Transforms, CheckResultDigestUnchanged) {
+    // Pins every check result bit for bit.  The values were recorded
+    // with the straightforward implementations (heap truth tables, the
+    // unpruned 2-resub scan, an explicit TFO walk), so any pruning or
+    // data-structure change in a check must reproduce them.
+    const std::map<std::string, std::uint64_t> expected = {
+        {"b07", 0x77251cd1efdfc364ULL},
+        {"b08", 0xc455bc6fed1a53f6ULL},
+        {"b09", 0xa5da8038e7d0a46eULL},
+        {"b10", 0xa9096e55175197d0ULL},
+        {"b11", 0x1c03c7300ce177b4ULL},
+        {"b12", 0x8db0e75f336574f7ULL},
+        {"c2670", 0xe4689a7344e6dc0eULL},
+        {"c5315", 0xe3aba85ed00b874bULL},
+        {"dense2k", 0xcf900737873e344cULL},
+        {"dense2k_10pi", 0x5d87bdcede4c084cULL},
+    };
+    std::map<std::string, std::uint64_t> actual;
+    for (const auto& name : bg::circuits::benchmark_names()) {
+        actual[name] = check_result_digest(
+            bg::circuits::make_benchmark_scaled(name, 1.0));
+    }
+    actual["dense2k"] =
+        check_result_digest(bg::circuits::dense_random_aig(64, 2000, 1));
+    // Ten PIs make wide windows whose 2-resub scan runs out of budget
+    // before a match it would otherwise reach, so this digest also pins
+    // how the scan spends its budget.
+    actual["dense2k_10pi"] =
+        check_result_digest(bg::circuits::dense_random_aig(10, 2000, 1));
+    for (const auto& [name, digest] : actual) {
+        EXPECT_EQ(digest, expected.count(name) ? expected.at(name) : 0)
+            << name << " digest 0x" << std::hex << digest;
+    }
+    EXPECT_EQ(actual.size(), expected.size());
+}
+
+TEST(Resub, OperandsNeverInRootTfo) {
+    // A divisor in the root's transitive fanout would make the
+    // replacement cyclic.  The window only admits side nodes whose
+    // fanins lie in the window and differ from the root; this recomputes
+    // the whole TFO independently and checks every applicable candidate.
+    std::size_t applicable = 0;
+    std::vector<char> in_tfo;
+    std::vector<Var> stack;
+    for (const auto& name : bg::circuits::benchmark_names()) {
+        const Aig g = bg::circuits::make_benchmark_scaled(name, 1.0);
+        for (const Var v : g.topo_ands()) {
+            const CheckResult r = check_resub(g, v);
+            if (!r.applicable) {
+                continue;
+            }
+            ++applicable;
+            in_tfo.assign(g.num_slots(), 0);
+            in_tfo[v] = 1;
+            stack.assign(1, v);
+            while (!stack.empty()) {
+                const Var u = stack.back();
+                stack.pop_back();
+                for (const Var w : g.fanouts(u)) {
+                    if (in_tfo[w] == 0) {
+                        in_tfo[w] = 1;
+                        stack.push_back(w);
+                    }
+                }
+            }
+            for (const Var o : r.cand.operands) {
+                EXPECT_EQ(in_tfo[o], 0)
+                    << name << ": operand " << o << " of root " << v
+                    << " lies in the root's TFO";
+            }
+        }
+    }
+    EXPECT_GT(applicable, 0u);
+}
 
 }  // namespace
