@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
             fc.top_k = scale.flow_top_k;
             fc.seed = 0xC0FFEE;
             const auto res =
-                bg::core::run_flow(design, model, fc, {.pool = &pool});
+                bg::core::run_flow(design, model, fc, &pool);
             table.add_row({std::to_string(fc.num_samples),
                            bg::TablePrinter::fmt(res.bg_mean_ratio),
                            bg::TablePrinter::fmt(res.bg_best_ratio),

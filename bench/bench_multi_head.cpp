@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
             fc.objective = bg::opt::make_objective(spec);
 
             const auto by_head =
-                bg::core::run_flow(design, model, fc, {.pool = &pool});
+                bg::core::run_flow(design, model, fc, &pool);
             bg::core::FlowConfig proxy = fc;
             proxy.ranking_head = bg::core::MetricHead::Size;
             const auto by_proxy =
-                bg::core::run_flow(design, model, proxy, {.pool = &pool});
+                bg::core::run_flow(design, model, proxy, &pool);
 
             Row row;
             row.design = name;

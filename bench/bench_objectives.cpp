@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
             fc.seed = 0x0B7EC7;
             fc.objective = objective;
             bg::Stopwatch flow_sw;
-            const auto flow = bg::core::run_flow(design, td.model, fc,
-                                                 {.pool = &bgbench::pool()});
+            const auto flow =
+                bg::core::run_flow(design, td.model, fc, &bgbench::pool());
             const double secs = flow_sw.seconds();
 
             // Internal soundness: the committed best must be

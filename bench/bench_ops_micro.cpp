@@ -172,7 +172,7 @@ BENCHMARK(BM_StaticFeatures);
 void BM_MeanAggregate(benchmark::State& state) {
     // The GraphSAGE neighbor aggregation — the next-largest inference
     // cost after the blocked GEMMs.  Arg(0)=1 runs the fast path with the
-    // CSR's precomputed 1/deg (what FlowContext-cached CSRs provide);
+    // CSR's precomputed 1/deg (what build_csr provides to every flow);
     // Arg(0)=0 strips it to measure the per-call-division fallback.
     auto g = design();
     auto csr = bg::core::build_csr(g);

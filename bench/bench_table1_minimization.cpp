@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
         fc.num_samples = scale.flow_samples;
         fc.top_k = scale.flow_top_k;
         fc.seed = 0x7AB1E1;
-        const auto flow = bg::core::run_flow(design, td.model, fc,
-                                             {.pool = &bgbench::pool()});
+        const auto flow =
+            bg::core::run_flow(design, td.model, fc, &bgbench::pool());
         ratios[3] = flow.bg_mean_ratio;
         ratios[4] = flow.bg_best_ratio;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "aig/simulation.hpp"
 #include "util/rng.hpp"
@@ -85,19 +84,6 @@ CecResult check_equivalence_full(const Aig& a, const Aig& b,
         return res;
     }
 
-    const auto start = std::chrono::steady_clock::now();
-    const auto stopped = [&] {
-        if (opts.cancel != nullptr && opts.cancel->should_stop()) {
-            return true;
-        }
-        if (opts.timeout_seconds > 0.0) {
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
-            return elapsed.count() > opts.timeout_seconds;
-        }
-        return false;
-    };
-
     // Counterexample-guided pre-pass: simulate the caller's seed patterns
     // (refutations pooled from earlier jobs) before spending any of the
     // random budget — a recurring near-miss bug falls here immediately.
@@ -145,7 +131,7 @@ CecResult check_equivalence_full(const Aig& a, const Aig& b,
         std::max<std::size_t>(1, (opts.random_words + 3) / 4);
     std::size_t remaining = opts.random_words;
     while (remaining > 0) {
-        if (stopped()) {
+        if (opts.cancel != nullptr && opts.cancel->should_stop()) {
             return res;  // ProbablyEquivalent, words so far
         }
         const std::size_t words = std::min(chunk, remaining);

@@ -12,8 +12,8 @@
 /// This engine and the SAT one (sat/cec_sat.hpp) are the two engines of
 /// bg::verify::PortfolioCec's pipeline: exhaustive or pooled-seed
 /// simulation first, SAT next, random simulation only when SAT is
-/// undecided.  The `cancel`/`timeout_seconds` options carry the
-/// pipeline's cancel token and the rest of its deadline.
+/// undecided.  The `cancel` option carries the pipeline's token, which
+/// holds the check's deadline on top of the caller's.
 
 #include <cstdint>
 #include <string>
@@ -41,14 +41,11 @@ struct CecOptions {
     /// the seed patterns (the portfolio prover's first stage).
     std::size_t random_words = 2048;
     std::uint64_t seed = 0xB001'6EB2A;
-    /// Cooperative cancellation: the token (its flag or its deadline) is
-    /// checked between simulation chunks; a stopped token degrades the
-    /// verdict to ProbablyEquivalent instead of throwing.  The pointee
-    /// must outlive the call.
+    /// Cooperative cancellation and the time budget: the token (its flag
+    /// or its deadline) is checked between simulation chunks; a stopped
+    /// token degrades the verdict to ProbablyEquivalent instead of
+    /// throwing.  The pointee must outlive the call.
     const bg::CancelToken* cancel = nullptr;
-    /// Wall-clock budget in seconds (0 = unlimited), checked at the same
-    /// points as `cancel`.
-    double timeout_seconds = 0.0;
     /// Counterexample-guided seeds: PI assignments simulated *before* the
     /// random budget on the non-exhaustive path (patterns whose size does
     /// not match the design's PI count are skipped).  The portfolio

@@ -136,12 +136,7 @@ RankingPlan plan_ranking(const BoolGebraModel& model,
 }
 
 FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
-                    const FlowConfig& cfg) {
-    return run_flow(design, model, cfg, FlowContext{});
-}
-
-FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
-                    const FlowConfig& cfg, const FlowContext& ctx) {
+                    const FlowConfig& cfg, ThreadPool* pool) {
     BG_EXPECTS(cfg.num_samples > 0 && cfg.top_k > 0,
                "flow needs samples and a positive top-k");
     cfg.opt.validate();
@@ -156,23 +151,16 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     res.original_depth = res.original_cost.depth;
 
     // Intra-design parallel orchestration for the exact-evaluation steps
-    // speculates on ctx.pool (for_each nests safely inside the outer
+    // speculates on the pool (for_each nests safely inside the outer
     // candidate loop); without a pool the sequential pass runs.  Results
     // are bit-identical either way.
     opt::IntraParallel intra;
     if (cfg.intra_workers >= 2) {
-        intra.pool = ctx.pool;
+        intra.pool = pool;
     }
 
-    // Step 1: sample decision vectors (static features cached per design
-    // round by run_design_flow).
-    StaticFeatures st_local;
-    const StaticFeatures* st_src = ctx.static_features;
-    if (st_src == nullptr) {
-        st_local = compute_static_features(design, cfg.opt, ctx.pool);
-        st_src = &st_local;
-    }
-    const StaticFeatures& st = *st_src;
+    // Step 1: sample decision vectors from the design's static features.
+    const StaticFeatures st = compute_static_features(design, cfg.opt, pool);
     poll_cancel(cfg.opt.cancel, "run_flow sampling");
     const auto decisions = generate_decisions(design, cfg.num_samples,
                                               cfg.guided, cfg.seed, st);
@@ -180,17 +168,11 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     // Step 2: prune with the predictor (cheap estimated dynamic features).
     // Candidate features are assembled directly into the stacked batch
     // matrix so inference sees one contiguous block.
-    GraphCsr csr_local;
-    const GraphCsr* csr_src = ctx.csr;
-    if (csr_src == nullptr) {
-        csr_local = build_csr(design);
-        csr_src = &csr_local;
-    }
-    const GraphCsr& csr = *csr_src;
+    const GraphCsr csr = build_csr(design);
     const std::size_t num_nodes = design.num_slots();
     nn::Matrix stacked(decisions.size() * num_nodes,
                        static_cast<std::size_t>(feature_dim));
-    bg::for_each_index(ctx.pool, decisions.size(), [&](std::size_t i) {
+    bg::for_each_index(pool, decisions.size(), [&](std::size_t i) {
         const auto applied = predicted_applied(design, decisions[i], st);
         const auto dy = compute_dynamic_features(design, applied);
         assemble_features_into(
@@ -211,11 +193,11 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
             ? model.predict_batch_head(csr, num_nodes, stacked,
                                        *plan.single_head,
                                        BoolGebraModel::kPredictBatch,
-                                       ctx.pool)
+                                       pool)
             : model.predict_batch_blend(csr, num_nodes, stacked,
                                         plan.weights,
                                         BoolGebraModel::kPredictBatch,
-                                        ctx.pool);
+                                        pool);
     res.samples_evaluated = res.predictions.size();
 
     // Step 3: evaluate the top-k exactly (smaller score = better).
@@ -231,11 +213,11 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
                         order.begin() + static_cast<std::ptrdiff_t>(k));
 
     // Each candidate's optimized graph stays in its slot until the winner
-    // is picked; the proof and run_design_flow read the winner's.
+    // is picked; run_design_flow reads the winner's.
     std::vector<SampleRecord> evaluated(k);
     std::vector<opt::CostVector> costs(k);
     std::vector<Aig> graphs(k);
-    bg::for_each_index(ctx.pool, k, [&](std::size_t i) {
+    bg::for_each_index(pool, k, [&](std::size_t i) {
         evaluated[i] =
             evaluate_decisions(design, decisions[res.selected[i]], cfg.opt,
                                obj, &graphs[i], &intra);
@@ -290,21 +272,6 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
                                   ? res.best_cost.value /
                                         res.original_cost.value
                                   : 1.0;
-
-    if (cfg.verify) {
-        poll_cancel(cfg.opt.cancel, "run_flow verification");
-        if (ctx.prover != nullptr) {
-            res.verification =
-                ctx.prover->check(design, *res.best_graph, cfg.opt.cancel);
-        } else {
-            verify::PortfolioCec prover(cfg.verify_opts);
-            res.verification =
-                prover.check(design, *res.best_graph, cfg.opt.cancel);
-        }
-        // A proof cut short by the token is a cancelled job, not an
-        // undecided verdict.
-        poll_cancel(cfg.opt.cancel, "run_flow proof");
-    }
     return res;
 }
 

@@ -43,18 +43,19 @@ struct FlowConfig {
     /// evaluated candidate wins.  Falls back to the size head when the
     /// model lacks the requested head.
     std::optional<MetricHead> ranking_head;
-    /// Verify the winner: after the objective picks it, prove its kept
-    /// graph (FlowResult::best_graph) equivalent to the input design with
-    /// the portfolio CEC (FlowResult records the verdict).  Every
-    /// transform is correct by construction, so this is the production
-    /// gate against orchestration bugs, not a per-sample cost.
+    /// Verify the result: after its last round, run_design_flow proves
+    /// the final graph (a single round's winner, else the committed graph)
+    /// equivalent to the input design with the portfolio CEC and records
+    /// the verdict in DesignFlowResult::verification; run_flow never
+    /// proves.  Every transform is correct by construction, so this is the
+    /// production gate against orchestration bugs, not a per-sample cost.
     bool verify = false;
-    /// Budgets for the verification gate (ignored when the caller
-    /// supplies FlowContext::prover, which carries its own options).
+    /// Budgets for the verification gate (ignored when the caller passes
+    /// run_design_flow a prover, which carries its own options).
     verify::PortfolioOptions verify_opts;
     /// Intra-design parallelism: when >= 2, each top-k evaluation (the
     /// only orchestration a flow runs) takes the speculate/ordered-commit
-    /// path (opt::orchestrate_parallel) on FlowContext::pool, nesting-safe
+    /// path (opt::orchestrate_parallel) on run_flow's pool, nesting-safe
     /// with the outer candidate loop and bit-identical to the sequential
     /// pass at any worker count.  The pool's size sets the speculation
     /// width; without a pool, and at 0/1, the sequential pass runs.
@@ -146,12 +147,10 @@ struct FlowResult {
     opt::DecisionVector best_decisions;
     /// The objective-best candidate's optimized graph, as its top-k
     /// evaluation left it (uncompacted); the other candidates' graphs are
-    /// freed.  The proof, run_design_flow's commit and its returned graph
-    /// all read this one graph, so the winner is never re-run.
+    /// freed.  run_design_flow's commit, its returned graph and (for a
+    /// single round) its proof all read this one graph, so the winner is
+    /// never re-run.
     std::shared_ptr<const aig::Aig> best_graph;
-    /// Portfolio-CEC verdict on best_graph vs the input design; set
-    /// exactly when FlowConfig::verify was on.
-    std::optional<verify::VerifyReport> verification;
 };
 
 /// Estimate the applied-op trace without running Algorithm 1: operation
@@ -161,33 +160,16 @@ std::vector<opt::OpKind> predicted_applied(const aig::Aig& g,
                                            const opt::DecisionVector& d,
                                            const StaticFeatures& st);
 
-/// Shared per-design state a caller may supply to avoid recomputation, and
-/// an optional persistent worker pool for the inner loops.  All members
-/// are optional; run_flow computes whatever is missing.  Cached values
-/// must belong to the *same* graph and OptParams as the call (the
-/// FlowEngine guarantees this by caching per design round).
-struct FlowContext {
-    const StaticFeatures* static_features = nullptr;
-    const GraphCsr* csr = nullptr;
-    /// Every inner loop (static features, feature assembly, inference,
-    /// top-k evaluation, verification) runs here; null runs them inline
-    /// on the calling thread.
-    ThreadPool* pool = nullptr;
-    /// Shared prover for FlowConfig::verify (the FlowService passes its
-    /// long-lived instance so the verdict cache spans jobs).  Null +
-    /// verify => run_flow builds a transient one from cfg.verify_opts.
-    /// The proof runs on the calling thread under cfg.opt.cancel.
-    verify::PortfolioCec* prover = nullptr;
-};
-
-/// Run the full sample -> prune -> evaluate flow on one design.  Step 1
-/// is generate_decisions (core/sampling.hpp).  The model is shared
-/// read-only: inference goes through the const
-/// predict_batch_head/_blend path, so one instance (or one FlowService
-/// snapshot) can serve many concurrent flows without copies.
+/// Run one round of the sample -> prune -> evaluate flow on one design:
+/// the static features and CSR adjacency of `design`, step 1
+/// (generate_decisions, core/sampling.hpp), inference and the top-k
+/// evaluation.  It never proves the result; run_design_flow does, once per
+/// job.  Every inner loop runs on `pool`, or inline on the calling thread
+/// when it is null.  The model is shared read-only: inference goes
+/// through the const predict_batch_head/_blend path, so one instance (or
+/// one FlowService snapshot) can serve many concurrent flows without
+/// copies.
 FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
-                    const FlowConfig& cfg = {});
-FlowResult run_flow(const aig::Aig& design, const BoolGebraModel& model,
-                    const FlowConfig& cfg, const FlowContext& ctx);
+                    const FlowConfig& cfg = {}, ThreadPool* pool = nullptr);
 
 }  // namespace bg::core

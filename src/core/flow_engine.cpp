@@ -1,5 +1,7 @@
 #include "core/flow_engine.hpp"
 
+#include <optional>
+
 #include "circuits/design_source.hpp"
 #include "circuits/registry.hpp"
 #include "core/flow_service.hpp"
@@ -29,10 +31,6 @@ DesignFlowResult run_design_flow(const DesignJob& job,
     const bg::Stopwatch watch;
     Aig current = job.design;
     FlowConfig round_cfg = flow_cfg;
-    // Iterated flows are proven once end-to-end below (final committed
-    // graph vs input design) — cheaper and strictly stronger than proving
-    // each round; a single uncommitted round verifies inside run_flow.
-    round_cfg.verify = flow_cfg.verify && rounds == 1;
     // The token rides OptParams into every run_flow stage and orchestrate
     // node walk; null leaves those paths bit-identical to uncontrolled
     // runs.  A provided JobControl owns the cancel decision; without one,
@@ -44,17 +42,7 @@ DesignFlowResult run_design_flow(const DesignJob& job,
     for (std::size_t round = 0; round < rounds; ++round) {
         poll_cancel(cancel, "run_design_flow round boundary");
         round_cfg.seed = flow_cfg.seed + round;  // fresh samples per round
-        // Per-round caches shared by every flow step of this design,
-        // computed once on the round's (compacted) graph.
-        const StaticFeatures st =
-            compute_static_features(current, round_cfg.opt, pool);
-        const GraphCsr csr = build_csr(current);
-        FlowContext ctx;
-        ctx.static_features = &st;
-        ctx.csr = &csr;
-        ctx.pool = pool;
-        ctx.prover = prover;
-        const FlowResult flow = run_flow(current, model, round_cfg, ctx);
+        const FlowResult flow = run_flow(current, model, round_cfg, pool);
         res.samples_run += flow.samples_evaluated;
         if (round == 0) {
             res.flow = flow;
@@ -89,20 +77,19 @@ DesignFlowResult run_design_flow(const DesignJob& job,
             ? static_cast<double>(res.iterated.final_depth) /
                   static_cast<double>(res.iterated.original_depth)
             : 1.0;
-    if (rounds == 1) {
-        res.verification = res.flow.verification;
-        if (control != nullptr && control->on_progress) {
-            control->on_progress(1, res.iterated.final_size);
-        }
-    } else if (flow_cfg.verify) {
-        // One end-to-end proof of everything that was committed.
+    if (rounds == 1 && control != nullptr && control->on_progress) {
+        control->on_progress(1, res.iterated.final_size);
+    }
+    if (flow_cfg.verify) {
+        // The job's one proof, after its last round: the final graph
+        // against the input design, never each round.
         const bg::CancelToken* token = round_cfg.opt.cancel;
-        if (prover != nullptr) {
-            res.verification = prover->check(job.design, *final_graph, token);
-        } else {
-            verify::PortfolioCec local(flow_cfg.verify_opts);
-            res.verification = local.check(job.design, *final_graph, token);
-        }
+        std::optional<verify::PortfolioCec> local;
+        verify::PortfolioCec& cec =
+            prover != nullptr ? *prover : local.emplace(flow_cfg.verify_opts);
+        res.verification = cec.check(job.design, *final_graph, token);
+        // A proof cut short by the token is a cancelled job, not an
+        // undecided verdict.
         poll_cancel(token, "run_design_flow proof");
     }
     if (control != nullptr && control->want_graph) {
@@ -124,12 +111,6 @@ FlowEngine::FlowEngine(EngineConfig cfg) : cfg_(cfg) {
 FlowEngine::~FlowEngine() = default;
 
 std::size_t FlowEngine::workers() const { return service_->workers(); }
-
-DesignFlowResult FlowEngine::run_one(const DesignJob& job,
-                                     const BoolGebraModel& model) {
-    return run_design_flow(job, model, cfg_.flow, cfg_.rounds,
-                           &service_->pool(), service_->prover());
-}
 
 BatchFlowResult FlowEngine::run(std::span<const DesignJob> jobs,
                                 const BoolGebraModel& model) {

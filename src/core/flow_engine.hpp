@@ -9,12 +9,12 @@
 /// service queue and waits for the futures, so the batch path and the
 /// serving path exercise the same internals.  Inside each job the shared
 /// pool parallelizes the per-sample loops (caller-participating fork-join,
-/// so nesting cannot deadlock).  Per design round it computes the static
-/// features and CSR adjacency once and shares them with every flow step;
-/// candidate features are assembled in place into a stacked batch matrix
-/// that BoolGebraModel::predict_batch_head scores in one call, and the
-/// pool also shards the SAGE row panels and GEMM row panels inside
-/// inference (bit-stable, see nn/matrix.hpp and nn/sage.hpp).
+/// so nesting cannot deadlock).  Each round's run_flow computes the
+/// static features and CSR adjacency of the round's graph once; candidate
+/// features are assembled in place into a stacked batch matrix that
+/// BoolGebraModel::predict_batch_head scores in one call, and the pool
+/// also shards the SAGE row panels and GEMM row panels inside inference
+/// (bit-stable, see nn/matrix.hpp and nn/sage.hpp).
 ///
 /// The model is shared read-only across every concurrent job — inference
 /// runs the const eval path, so no per-job model copy is made.  Output is bit-identical to running run_design_flow per design
@@ -53,14 +53,15 @@ struct DesignJob {
 /// stack (FlowService tenancy, the network front end).  All members are
 /// optional; the default object reproduces the uncontrolled run exactly.
 struct JobControl {
-    /// Cancel point polled at round boundaries and, via
+    /// Cancel point polled at round boundaries, after the proof and, via
     /// OptParams::cancel, inside every orchestrate node walk and run_flow
     /// stage.  A stopped token aborts the job with bg::CancelledError.
     const bg::CancelToken* cancel = nullptr;
     /// Invoked on the executing thread after each completed round with
     /// (1-based round, AND count of the graph after that round): the
     /// committed size for iterated flows, the best candidate's size for
-    /// single-shot flows (which commit nothing).
+    /// single-shot flows (which commit nothing).  It runs before the
+    /// proof, which follows the last round.
     std::function<void(std::size_t round, std::size_t ands)> on_progress;
     /// Return the final optimized graph in DesignFlowResult::final_graph:
     /// the committed graph for rounds > 1 (the input design when no round
@@ -129,18 +130,18 @@ struct BatchFlowResult {
 /// The per-design unit of work shared by FlowEngine and FlowService, and
 /// the one round driver: run `rounds` flow rounds (committing each
 /// productive best when rounds > 1, stopping at the first round that
-/// does not improve) with per-round StaticFeatures/CSR caching.  A commit
-/// compacts the round's FlowResult::best_graph; no winner is re-run.  Every
-/// loop runs on `pool` when given and inline on the calling thread when
-/// it is null.  The model is read-only; results are bit-identical at any
-/// pool size, and for rounds == 1 equal run_flow with the same config.
-/// `prover` is the shared portfolio instance used when flow.verify is on
-/// (null + verify => a transient prover is built from flow.verify_opts).
-/// For rounds > 1 the committed result is proven end-to-end once — final
-/// graph vs input design — instead of per round; a single round verifies
-/// inside run_flow.  The proof polls the round's cancel token, and a proof
-/// the token stopped raises CancelledError rather than reporting
-/// ProbablyEquivalent.
+/// does not improve).  A commit compacts the round's
+/// FlowResult::best_graph; no winner is re-run.  Every loop runs on
+/// `pool` when given and inline on the calling thread when it is null.
+/// The model is read-only; results are bit-identical at any pool size,
+/// and for rounds == 1 equal run_flow with the same config.
+/// The only proof site: when flow.verify is on, the final graph (the
+/// round's winner for rounds == 1, else the committed graph) is proven
+/// against the input design once, after the last progress callback.
+/// `prover` is the shared portfolio instance for it (null => a transient
+/// prover is built from flow.verify_opts).  The proof runs under the
+/// round's cancel token, and a proof the token stopped raises
+/// CancelledError rather than reporting ProbablyEquivalent.
 /// `control` (optional) carries the cooperative cancel token, the
 /// per-round progress callback, and the want_graph switch; see JobControl.
 DesignFlowResult run_design_flow(const DesignJob& job,
@@ -164,10 +165,6 @@ public:
     /// run bit for bit.
     BatchFlowResult run(std::span<const DesignJob> jobs,
                         const BoolGebraModel& model);
-
-    /// Convenience wrapper for a single design, run on the caller thread.
-    DesignFlowResult run_one(const DesignJob& job,
-                             const BoolGebraModel& model);
 
 private:
     EngineConfig cfg_;

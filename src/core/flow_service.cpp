@@ -31,17 +31,13 @@ Outcome classify(const std::exception_ptr& error) {
 }  // namespace
 
 FlowService::FlowService(ServiceConfig cfg, ModelSnapshot model)
-    : cfg_(cfg), pool_(cfg.workers), model_(std::move(model)) {
+    : cfg_(cfg),
+      pool_(cfg.workers),
+      prover_(cfg.flow.verify_opts),
+      model_(std::move(model)) {
     BG_EXPECTS(cfg_.rounds >= 1, "service needs at least one flow round");
     BG_EXPECTS(cfg_.latency_window >= 1, "latency window must be positive");
     latencies_.assign(cfg_.latency_window, 0.0);
-    if (cfg_.flow.verify) {
-        // One shared prover for the service lifetime: its verdict cache
-        // and counterexample pool span jobs.  Each check runs on the
-        // serving task that asks for it.
-        prover_ =
-            std::make_unique<verify::PortfolioCec>(cfg_.flow.verify_opts);
-    }
     // The default tenant always exists: pre-tenancy submit() maps to it.
     auto def = std::make_unique<Tenant>();
     def->cfg.name = "";
@@ -311,7 +307,7 @@ void FlowService::serve_next() {
             const FlowConfig& flow =
                 queued.flow ? *queued.flow : cfg_.flow;
             res = run_design_flow(queued.job, *queued.model, flow,
-                                  queued.rounds, &pool_, prover_.get(),
+                                  queued.rounds, &pool_, &prover_,
                                   &control);
         } catch (...) {
             error = std::current_exception();
@@ -412,10 +408,8 @@ ServiceStats FlowService::stats() const {
                       latencies_.begin() +
                           static_cast<std::ptrdiff_t>(filled));
     }
-    if (prover_ != nullptr) {
-        out.verify_cache_lookups = prover_->cache_lookups();
-        out.verify_cache_hits = prover_->cache_hits();
-    }
+    out.verify_cache_lookups = prover_.cache_lookups();
+    out.verify_cache_hits = prover_.cache_hits();
     out.uptime_seconds = uptime_.seconds();
     std::sort(window.begin(), window.end());
     out.p50_latency_seconds = percentile(window, 0.50);

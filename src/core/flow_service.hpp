@@ -167,15 +167,17 @@ struct ServiceStats {
     std::uint64_t jobs_rejected = 0;   ///< admission failures (not submitted)
     std::uint64_t samples_run = 0;     ///< decision vectors scored (measured)
     std::uint64_t model_swaps = 0;
-    /// Verification tally (FlowConfig::verify gates the first three):
-    /// verified = proven equivalent, refuted = counterexample found,
-    /// unknown = every engine degraded, unverified = completed without a
-    /// verdict (verification off, or the job failed/was cancelled).
+    /// Verification tally (the job's FlowConfig::verify gates the first
+    /// three): verified = proven equivalent, refuted = counterexample
+    /// found, unknown = every engine degraded, unverified = completed
+    /// without a verdict (verification off, or the job failed/was
+    /// cancelled).
     std::uint64_t jobs_verified = 0;
     std::uint64_t jobs_refuted = 0;
     std::uint64_t jobs_unknown = 0;
     std::uint64_t jobs_unverified = 0;
-    /// Portfolio verdict-cache counters (zero when verification is off).
+    /// Verdict-cache counters of the service's prover, over every job
+    /// that verified.
     std::uint64_t verify_cache_lookups = 0;
     std::uint64_t verify_cache_hits = 0;
     double uptime_seconds = 0.0;
@@ -201,9 +203,11 @@ public:
     const ServiceConfig& config() const { return cfg_; }
     std::size_t workers() const { return pool_.size(); }
     ThreadPool& pool() { return pool_; }
-    /// The long-lived portfolio prover every served job shares (its
-    /// verdict cache spans jobs); null when FlowConfig::verify is off.
-    verify::PortfolioCec* prover() { return prover_.get(); }
+    /// The long-lived portfolio prover every verifying job shares (its
+    /// verdict cache spans jobs), built from the service default's
+    /// FlowConfig::verify_opts; a job that turns verification on by itself
+    /// proves here too.
+    verify::PortfolioCec* prover() { return &prover_; }
 
     /// Add a tenant, or reconfigure an existing one (weight, quota,
     /// model) — queued jobs keep their bindings.  Thread-safe; weight
@@ -284,9 +288,8 @@ private:
 
     ServiceConfig cfg_;
     ThreadPool pool_;
-    /// Created in the constructor when cfg_.flow.verify is on; shared by
-    /// every serving task (PortfolioCec::check is thread-safe).
-    std::unique_ptr<verify::PortfolioCec> prover_;
+    /// Shared by every serving task (PortfolioCec::check is thread-safe).
+    verify::PortfolioCec prover_;
     const bg::Stopwatch uptime_;
 
     mutable std::mutex mu_;

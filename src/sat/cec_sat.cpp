@@ -1,6 +1,5 @@
 #include "sat/cec_sat.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "aig/simulation.hpp"
@@ -43,20 +42,9 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
 
     Solver solver;
     solver.set_memory_limit(opts.max_memory_bytes);
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point deadline = Clock::time_point::max();
-    if (opts.timeout_seconds > 0.0) {
-        deadline = Clock::now() +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(opts.timeout_seconds));
-    }
-    if (opts.cancel != nullptr || opts.timeout_seconds > 0.0) {
-        solver.set_interrupt([cancel = opts.cancel, deadline]() {
-            if (cancel != nullptr && cancel->should_stop()) {
-                return true;
-            }
-            return Clock::now() >= deadline;
-        });
+    if (opts.cancel != nullptr) {
+        solver.set_interrupt(
+            [cancel = opts.cancel] { return cancel->should_stop(); });
     }
 
     const MiterEncoding enc = encode_miter(solver, a, b);

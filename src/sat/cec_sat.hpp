@@ -19,9 +19,9 @@
 /// pattern blocked), it never throws.
 ///
 /// The proving stage of bg::verify::PortfolioCec's pipeline, between
-/// exhaustive or pooled-seed simulation and random simulation;
-/// `cancel`/`timeout_seconds` carry the pipeline's cancel token and the
-/// rest of its deadline.
+/// exhaustive or pooled-seed simulation and random simulation; `cancel`
+/// carries the pipeline's token, which holds the check's deadline on top
+/// of the caller's.
 
 #include <vector>
 
@@ -41,12 +41,10 @@ struct SatCecOptions {
     /// by simulation — is blocked and the output re-solved at most this
     /// many times before the verdict degrades to ProbablyEquivalent.
     int max_spurious_retries = 1;
-    /// Cooperative cancellation, polled inside the solver; a stopped token
-    /// (flag or deadline) degrades the verdict to ProbablyEquivalent
-    /// instead of throwing.  Must outlive the call.
+    /// Cooperative cancellation and the time budget, polled inside the
+    /// solver; a stopped token (flag or deadline) degrades the verdict to
+    /// ProbablyEquivalent instead of throwing.  Must outlive the call.
     const bg::CancelToken* cancel = nullptr;
-    /// Wall-clock budget in seconds (0 = unlimited).
-    double timeout_seconds = 0.0;
     /// Heap cap for the solver instance (its clause arena, watcher lists
     /// and per-variable arrays; learned clauses, which this solver never
     /// deletes, dominate on hard miters); 0 = unlimited.  A hard

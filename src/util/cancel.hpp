@@ -11,15 +11,18 @@
 ///    `SubmitOptions::timeout_seconds`.
 ///
 /// Both are plain atomics so workers may poll from any thread without a
-/// lock.  Cancel points (orchestrate node walks, run_flow stage
-/// boundaries, the poll right after a CEC proof) call `throw_if_stopped`,
-/// which raises CancelledError; the serving layer maps the exception's
-/// reason onto a definite JobStatus.  The CEC engines only read
-/// `should_stop` (between simulation chunks, every 256 SAT conflicts) and
-/// degrade to ProbablyEquivalent, leaving the raise to the next cancel
-/// point.  Polling is strictly observational: a null token
-/// (the default everywhere) compiles down to a pointer test, keeping
-/// cancel-free runs bit-identical to the pre-cancellation code paths.
+/// lock.  A token built with a parent also stops when the parent does;
+/// the CEC gate arms such a child with its own time budget on top of the
+/// job's token, so each proof has one deadline.  Cancel points
+/// (orchestrate node walks, run_flow stage boundaries, the poll right
+/// after the flow's proof) call `throw_if_stopped`, which raises
+/// CancelledError; the serving layer maps the exception's reason onto a
+/// definite JobStatus.  The CEC engines only read `should_stop` (between
+/// simulation chunks, every 256 SAT conflicts) and degrade to
+/// ProbablyEquivalent, leaving the raise to the next cancel point.
+/// Polling is strictly observational: a null token (the default
+/// everywhere) compiles down to a pointer test, keeping cancel-free runs
+/// bit-identical to the pre-cancellation code paths.
 
 #include <atomic>
 #include <chrono>
@@ -55,6 +58,11 @@ private:
 class CancelToken {
 public:
     CancelToken() = default;
+    /// A child token: it also stops when `parent` (null = none) stops,
+    /// with the parent's reason; stopping the child never stops the
+    /// parent.  The parent must outlive the child.
+    explicit CancelToken(const CancelToken* parent) noexcept
+        : parent_(parent) {}
     CancelToken(const CancelToken&) = delete;
     CancelToken& operator=(const CancelToken&) = delete;
 
@@ -80,17 +88,21 @@ public:
     }
 
     bool cancel_requested() const noexcept {
-        return cancelled_.load(std::memory_order_relaxed);
+        return cancelled_.load(std::memory_order_relaxed) ||
+               (parent_ != nullptr && parent_->cancel_requested());
     }
 
     bool deadline_expired() const noexcept {
         const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
-        if (d == 0) {
-            return false;
+        if (d != 0) {
+            const auto now =
+                std::chrono::steady_clock::now().time_since_epoch();
+            if (std::chrono::duration_cast<std::chrono::nanoseconds>(now)
+                    .count() >= d) {
+                return true;
+            }
         }
-        const auto now = std::chrono::steady_clock::now().time_since_epoch();
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(now)
-                   .count() >= d;
+        return parent_ != nullptr && parent_->deadline_expired();
     }
 
     bool should_stop() const noexcept {
@@ -115,6 +127,7 @@ public:
     }
 
 private:
+    const CancelToken* parent_ = nullptr;
     std::atomic<bool> cancelled_{false};
     /// steady_clock deadline in ns since epoch; 0 = disarmed.
     std::atomic<std::int64_t> deadline_ns_{0};

@@ -1,10 +1,9 @@
 #include "verify/portfolio.hpp"
 
-#include <chrono>
-#include <optional>
 #include <utility>
 
 #include "util/contracts.hpp"
+#include "util/progress.hpp"
 
 namespace bg::verify {
 
@@ -120,16 +119,17 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
     BG_EXPECTS(a.num_pos() == b.num_pos(),
                "portfolio CEC requires matching PO counts");
 
-    using Clock = std::chrono::steady_clock;
-    const auto t0 = Clock::now();
-    const auto elapsed = [t0] {
-        return std::chrono::duration<double>(Clock::now() - t0).count();
-    };
+    const bg::Stopwatch watch;
+    // The check's one deadline, armed on a child of the caller's token: a
+    // stage starts only while the child has not stopped, and the engines
+    // poll only the child.
+    CancelToken budget(cancel);
+    budget.set_deadline_after(opts_.timeout_seconds);
 
     VerifyReport report;
     CacheKey key{};
-    const bool use_cache = opts_.use_cache && opts_.cache_capacity > 0;
-    if (use_cache) {
+    const bool caching = opts_.cache_capacity > 0;
+    if (caching) {
         key = CacheKey{aig::structural_fingerprint(a),
                        aig::structural_fingerprint(b)};
         if (cache_get(key, report)) {
@@ -140,28 +140,11 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
                 // witness even though its own fingerprints miss.
                 pool_counterexample(a.num_pis(), report.counterexample);
             }
-            report.seconds = elapsed();
+            report.seconds = watch.seconds();
             return report;
         }
     }
 
-    // The rest of the single deadline for the next stage (0 = unlimited
-    // without one); nullopt skips the stage once the time is gone or the
-    // token has stopped — a non-positive timeout would read as
-    // "unlimited" to the engines.
-    const auto stage_budget = [&]() -> std::optional<double> {
-        if (cancel != nullptr && cancel->should_stop()) {
-            return std::nullopt;
-        }
-        if (opts_.timeout_seconds <= 0.0) {
-            return 0.0;
-        }
-        const double left = opts_.timeout_seconds - elapsed();
-        if (left <= 0.0) {
-            return std::nullopt;
-        }
-        return left;
-    };
     const auto decide = [&](Engine engine, auto result) {
         if (!is_definitive(result.verdict)) {
             return false;
@@ -173,26 +156,22 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
     };
     const auto simulate = [&](std::size_t random_words,
                               const std::vector<std::vector<bool>>* seeds) {
-        const auto budget = stage_budget();
-        if (!budget) {
+        if (budget.should_stop()) {
             return false;
         }
         aig::CecOptions o = opts_.sim;
         o.random_words = random_words;
         o.seed_patterns = seeds;
-        o.cancel = cancel;
-        o.timeout_seconds = *budget;
+        o.cancel = &budget;
         return decide(Engine::Simulation,
                       aig::check_equivalence_full(a, b, o));
     };
     const auto prove_sat = [&] {
-        const auto budget = stage_budget();
-        if (!budget) {
+        if (budget.should_stop()) {
             return false;
         }
         sat::SatCecOptions o = opts_.sat;
-        o.cancel = cancel;
-        o.timeout_seconds = *budget;
+        o.cancel = &budget;
         return decide(Engine::Sat, sat::check_equivalence_sat_full(a, b, o));
     };
 
@@ -209,7 +188,7 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
     const bool decided = simulate(0, seeds) || prove_sat() ||
                          simulate(opts_.sim.random_words, nullptr);
     if (decided) {
-        if (use_cache) {
+        if (caching) {
             cache_put(key, report);
         }
         if (report.verdict == aig::CecVerdict::NotEquivalent &&
@@ -217,7 +196,7 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b,
             pool_counterexample(a.num_pis(), report.counterexample);
         }
     }
-    report.seconds = elapsed();
+    report.seconds = watch.seconds();
     return report;
 }
 

@@ -14,9 +14,9 @@
 ///
 /// Random simulation comes after SAT because flow results are equivalent
 /// by construction: run first, it only refutes what SAT refutes anyway
-/// and adds its full budget to every proof.  Every stage shares one
-/// wall-clock deadline (`timeout_seconds`) and the caller's cancel token;
-/// a stage whose time is gone or whose token has stopped is skipped, and
+/// and adds its full budget to every proof.  Every stage runs under one
+/// child of the caller's cancel token that carries the check's deadline
+/// (`timeout_seconds`); a stage whose token has stopped is skipped, and
 /// the check reports ProbablyEquivalent honestly (never upgraded).
 ///
 /// Verdicts for structurally identical queries are served from a small
@@ -56,17 +56,14 @@ enum class Engine {
 std::string to_string(Engine e);
 
 struct PortfolioOptions {
-    /// Stage budgets.  Each engine's cancel and timeout_seconds are
-    /// overwritten by the pipeline (the caller's token and the rest of
-    /// `timeout_seconds`); the pipeline sets sim.random_words to 0 for its
+    /// Stage budgets.  Each engine's cancel is overwritten by the
+    /// pipeline's token; the pipeline sets sim.random_words to 0 for its
     /// first simulation stage and uses it as given for the last.
     aig::CecOptions sim;
     sat::SatCecOptions sat;
     /// Wall-clock budget of the whole check, in seconds (0 = unlimited).
     double timeout_seconds = 30.0;
-    /// Serve repeated structural-fingerprint pairs from the cache.
-    bool use_cache = true;
-    /// FIFO capacity of the verdict cache.
+    /// FIFO capacity of the verdict cache (0 disables the cache).
     std::size_t cache_capacity = 4096;
     /// Per-PI-count capacity of the cross-job counterexample pool (0
     /// disables pooling).  Every definitive refutation's witness — SAT or
@@ -102,10 +99,11 @@ public:
                           ThreadPool* pool = nullptr);
 
     /// Run the pipeline on the (a, b) miter.  A stopped `cancel` token
-    /// (flag or deadline) skips the remaining stages and degrades the
-    /// verdict to ProbablyEquivalent; it never throws — callers poll the
-    /// token afterwards.  Throws ContractViolation when the PI/PO
-    /// interfaces differ; never throws from a verdict path.
+    /// (flag or deadline) or a spent `timeout_seconds` skips the remaining
+    /// stages and degrades the verdict to ProbablyEquivalent; it never
+    /// throws — callers poll their token afterwards.  Throws
+    /// ContractViolation when the PI/PO interfaces differ; never throws
+    /// from a verdict path.
     VerifyReport check(const aig::Aig& a, const aig::Aig& b,
                        const CancelToken* cancel = nullptr);
 

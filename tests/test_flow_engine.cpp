@@ -203,25 +203,24 @@ TEST(FlowEngineHelpers, JobsFromRegistryBuildsScaledDesigns) {
 }
 
 TEST(FlowEngine, SamplesRunCountsOnlyExecutedRounds) {
-    // Iterated flow with a generous round budget: the engine must report
-    // the decision vectors actually scored (executed rounds, including
-    // the final unproductive one), not rounds * num_samples.
+    // Iterated flow with a generous round budget: the round driver must
+    // report the decision vectors actually scored (executed rounds,
+    // including the final unproductive one), not rounds * num_samples.
     const DesignJob job = {"b09",
                           bg::circuits::make_benchmark_scaled("b09", 0.3)};
     const BoolGebraModel model{tiny_config()};
-    EngineConfig cfg;
-    cfg.rounds = 10;
-    cfg.flow = tiny_flow();
-    FlowEngine engine(cfg);
-    const auto res = engine.run_one(job, model);
+    constexpr std::size_t kRounds = 10;
+    const FlowConfig flow = tiny_flow();
+    bg::ThreadPool pool(2);
+    const auto res = run_design_flow(job, model, flow, kRounds, &pool);
 
     // The flow stops committing long before the budget on this tiny
     // design; the early-break round still ran (and is still counted).
-    ASSERT_LT(res.iterated.rounds(), cfg.rounds);
+    ASSERT_LT(res.iterated.rounds(), kRounds);
     const std::size_t executed = res.iterated.rounds() + 1;
-    EXPECT_EQ(res.samples_run, executed * cfg.flow.num_samples);
-    EXPECT_LT(res.samples_run, cfg.rounds * cfg.flow.num_samples);
-    EXPECT_EQ(res.flow.samples_evaluated, cfg.flow.num_samples);
+    EXPECT_EQ(res.samples_run, executed * flow.num_samples);
+    EXPECT_LT(res.samples_run, kRounds * flow.num_samples);
+    EXPECT_EQ(res.flow.samples_evaluated, flow.num_samples);
 }
 
 TEST(FlowEngineHelpers, ScaledGeneratorIsIdentityAtScaleOne) {

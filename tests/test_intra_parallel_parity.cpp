@@ -60,7 +60,7 @@ TEST(IntraParallelParity, RunFlowIdenticalAcrossIntraWorkerCounts) {
             FlowConfig cfg = parity_flow();
             cfg.intra_workers = workers;
             expect_bit_identical(
-                run_flow(design, model, cfg, {.pool = &pool}), reference);
+                run_flow(design, model, cfg, &pool), reference);
         }
     }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "util/cancel.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -277,6 +278,72 @@ TEST(Table, AlignedRendering) {
 TEST(Table, RowWidthMismatchThrows) {
     bg::TablePrinter tp({"a", "b"});
     EXPECT_THROW(tp.add_row({"only-one"}), bg::ContractViolation);
+}
+
+/// Spin until `token`'s own deadline, armed a nanosecond ahead, has passed.
+void wait_expired(const bg::CancelToken& token) {
+    while (!token.deadline_expired()) {
+    }
+}
+
+bg::CancelReason thrown_reason(const bg::CancelToken& token) {
+    try {
+        token.throw_if_stopped("test");
+    } catch (const bg::CancelledError& e) {
+        return e.reason();
+    }
+    ADD_FAILURE() << "a stopped token must throw";
+    return bg::CancelReason::Cancelled;
+}
+
+TEST(CancelToken, ChildOfLiveParentRunsUntilItsOwnDeadline) {
+    bg::CancelToken parent;
+    bg::CancelToken child(&parent);
+    child.set_deadline_after(3600.0);
+    EXPECT_FALSE(child.should_stop());
+    child.set_deadline_after(0.0);  // non-positive disarms
+    EXPECT_FALSE(child.should_stop());
+    const bg::CancelToken orphan(nullptr);
+    EXPECT_FALSE(orphan.should_stop());
+}
+
+TEST(CancelToken, CancelledParentStopsChildAsCancelled) {
+    bg::CancelToken parent;
+    bg::CancelToken child(&parent);
+    child.set_deadline_after(3600.0);
+    parent.request_cancel();
+    EXPECT_TRUE(child.should_stop());
+    EXPECT_TRUE(child.cancel_requested());
+    EXPECT_EQ(child.stop_reason(), bg::CancelReason::Cancelled);
+    EXPECT_EQ(thrown_reason(child), bg::CancelReason::Cancelled);
+}
+
+TEST(CancelToken, ExpiredParentDeadlineStopsChildAsTimedOut) {
+    bg::CancelToken parent;
+    bg::CancelToken child(&parent);
+    child.set_deadline_after(3600.0);
+    parent.set_deadline_after(1e-9);
+    wait_expired(parent);
+    EXPECT_TRUE(child.should_stop());
+    EXPECT_FALSE(child.cancel_requested());
+    EXPECT_EQ(child.stop_reason(), bg::CancelReason::TimedOut);
+    EXPECT_EQ(thrown_reason(child), bg::CancelReason::TimedOut);
+}
+
+TEST(CancelToken, ChildNeverStopsItsParent) {
+    bg::CancelToken parent;
+    {
+        bg::CancelToken child(&parent);
+        child.set_deadline_after(1e-9);
+        wait_expired(child);
+        EXPECT_EQ(child.stop_reason(), bg::CancelReason::TimedOut);
+        EXPECT_FALSE(parent.should_stop());
+    }
+    bg::CancelToken child(&parent);
+    child.request_cancel();
+    EXPECT_EQ(child.stop_reason(), bg::CancelReason::Cancelled);
+    EXPECT_FALSE(parent.should_stop());
+    EXPECT_NO_THROW(parent.throw_if_stopped("test"));
 }
 
 }  // namespace

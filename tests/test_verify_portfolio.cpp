@@ -5,7 +5,7 @@
 /// constant POs, mismatched PI/PO preconditions), counterexample
 /// round-trips, the spurious-SAT-counterexample no-throw contract, exact
 /// simulation budget accounting, the verdict cache, and verification
-/// wired through run_flow / FlowEngine / FlowService.  Runs under the
+/// wired through run_design_flow / FlowEngine / FlowService.  Runs under the
 /// TSan CI job — concurrent checks share one verdict cache and one
 /// counterexample pool.
 
@@ -149,8 +149,7 @@ TEST(PortfolioCecTest, StarvedSatFallsBackToRandomSimulation) {
 
 TEST(PortfolioCecTest, SpentDeadlineSkipsEveryStage) {
     // One deadline covers the whole check; once it has passed no stage
-    // runs (a non-positive budget would read as "unlimited" to the
-    // engines), and an undecided verdict is never cached.
+    // runs, and an undecided verdict is never cached.
     const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
     ASSERT_GT(original.num_pis(), 14u);
     Aig optimized = original;
@@ -447,7 +446,7 @@ TEST(PortfolioCecTest, VerdictCacheServesRepeats) {
 TEST(PortfolioCecTest, CacheDisabledNeverServesRepeats) {
     const Aig g = bg::test::redundant_aig(8, 20, 2, 9);
     PortfolioOptions opts;
-    opts.use_cache = false;
+    opts.cache_capacity = 0;
     PortfolioCec prover(opts);
     (void)prover.check(g, g);
     const auto again = prover.check(g, g);
@@ -600,7 +599,7 @@ TEST(PortfolioCecTest, CexPoolEvictsFifoAtCapacity) {
     // keeps only the most recent two (oldest evicted first).
     PortfolioOptions opts;
     opts.cex_pool_capacity = 2;
-    opts.use_cache = false;  // every check runs the engines
+    opts.cache_capacity = 0;  // every check runs the engines
     PortfolioCec prover(opts);
 
     // Pair k differs from const-false exactly on the assignment where
@@ -685,8 +684,10 @@ TEST(FlowVerify, RunFlowReportsVerdictOnRegistryDesigns) {
     const bg::core::BoolGebraModel model(tiny_model_config());
     const auto cfg = tiny_verified_flow();
     for (const char* name : {"b07", "b08", "b09"}) {
-        const auto design = bg::circuits::make_benchmark_scaled(name, 0.5);
-        const auto res = bg::core::run_flow(design, model, cfg);
+        const bg::core::DesignJob job{
+            name, bg::circuits::make_benchmark_scaled(name, 0.5)};
+        const auto res = bg::core::run_design_flow(job, model, cfg, 1,
+                                                   nullptr);
         ASSERT_TRUE(res.verification.has_value()) << name;
         EXPECT_EQ(res.verification->verdict, CecVerdict::Equivalent)
             << name << ": every committed result must be proven";
@@ -698,8 +699,9 @@ TEST(FlowVerify, VerifyOffLeavesReportEmpty) {
     const bg::core::BoolGebraModel model(tiny_model_config());
     auto cfg = tiny_verified_flow();
     cfg.verify = false;
-    const auto design = bg::circuits::make_benchmark_scaled("b09", 0.4);
-    const auto res = bg::core::run_flow(design, model, cfg);
+    const bg::core::DesignJob job{
+        "b09", bg::circuits::make_benchmark_scaled("b09", 0.4)};
+    const auto res = bg::core::run_design_flow(job, model, cfg, 1, nullptr);
     EXPECT_FALSE(res.verification.has_value());
 }
 
@@ -712,6 +714,60 @@ TEST(FlowVerify, IteratedRoundsProveEndToEnd) {
                                                /*rounds=*/2, nullptr);
     ASSERT_TRUE(res.verification.has_value());
     EXPECT_EQ(res.verification->verdict, CecVerdict::Equivalent);
+}
+
+TEST(FlowVerify, OneProofPerJob) {
+    // Whatever the round count, a verified job asks the prover once: the
+    // final graph against the input design, after the last round.
+    const bg::core::BoolGebraModel model(tiny_model_config());
+    const bg::core::DesignJob job{
+        "b08", bg::circuits::make_benchmark_scaled("b08", 0.5)};
+    for (const std::size_t rounds : {1UL, 3UL}) {
+        SCOPED_TRACE("rounds=" + std::to_string(rounds));
+        PortfolioCec prover;
+        const auto res = bg::core::run_design_flow(
+            job, model, tiny_verified_flow(), rounds, nullptr, &prover);
+        ASSERT_TRUE(res.verification.has_value());
+        EXPECT_EQ(res.verification->verdict, CecVerdict::Equivalent);
+        EXPECT_EQ(prover.cache_lookups(), 1u);
+
+        auto off = tiny_verified_flow();
+        off.verify = false;
+        PortfolioCec unused;
+        const auto unverified =
+            bg::core::run_design_flow(job, model, off, rounds, nullptr,
+                                      &unused);
+        EXPECT_FALSE(unverified.verification.has_value());
+        EXPECT_EQ(unused.cache_lookups(), 0u);
+    }
+}
+
+TEST(FlowVerify, SingleRoundProofFollowsProgress) {
+    // A single round reports progress before its proof, like every
+    // round count: a token stopped from on_progress(1, ...) reaches the
+    // proof, which decides nothing, and the job raises CancelledError.
+    const bg::core::BoolGebraModel model(tiny_model_config());
+    const bg::core::DesignJob job{
+        "b07", bg::circuits::make_benchmark_scaled("b07", 0.4)};
+    bg::CancelToken token;
+    bg::core::JobControl control;
+    control.cancel = &token;
+    std::size_t progress_calls = 0;
+    control.on_progress = [&](std::size_t round, std::size_t /*ands*/) {
+        ++progress_calls;
+        EXPECT_EQ(round, 1u);
+        token.request_cancel();
+    };
+    PortfolioCec prover;
+    try {
+        (void)bg::core::run_design_flow(job, model, tiny_verified_flow(), 1,
+                                        nullptr, &prover, &control);
+        FAIL() << "a proof stopped by the token must raise CancelledError";
+    } catch (const bg::CancelledError& e) {
+        EXPECT_EQ(e.reason(), bg::CancelReason::Cancelled);
+    }
+    EXPECT_EQ(progress_calls, 1u);
+    EXPECT_EQ(prover.cache_size(), 0u);
 }
 
 TEST(FlowVerify, TokenStoppedDuringProofRaisesCancelled) {
@@ -790,10 +846,10 @@ TEST(FlowVerify, ServiceCountsVerdictsInStats) {
     EXPECT_EQ(st.jobs_refuted, 0u);
     EXPECT_EQ(st.jobs_unknown, 0u);
     EXPECT_EQ(st.jobs_unverified, 0u);
-    EXPECT_GE(st.verify_cache_lookups, 3u);
+    EXPECT_EQ(st.verify_cache_lookups, 3u);
 }
 
-TEST(FlowVerify, ServiceWithVerifyOffHasNoProver) {
+TEST(FlowVerify, ServiceWithVerifyOffLeavesJobsUnverified) {
     auto model =
         std::make_shared<bg::core::BoolGebraModel>(tiny_model_config());
     bg::core::ServiceConfig scfg;
@@ -801,12 +857,41 @@ TEST(FlowVerify, ServiceWithVerifyOffHasNoProver) {
     scfg.flow = tiny_verified_flow();
     scfg.flow.verify = false;
     bg::core::FlowService service(scfg, model);
-    EXPECT_EQ(service.prover(), nullptr);
     auto f = service.submit(
         {"b09", bg::circuits::make_benchmark_scaled("b09", 0.3)});
     EXPECT_FALSE(f.get().verification.has_value());
     service.stop();
-    EXPECT_EQ(service.stats().jobs_unverified, 1u);
+    const auto st = service.stats();
+    EXPECT_EQ(st.jobs_unverified, 1u);
+    EXPECT_EQ(st.verify_cache_lookups, 0u);
+}
+
+TEST(FlowVerify, PerJobVerifyUsesTheServiceProver) {
+    // A job may turn verification on by itself (the network front end
+    // sets it from the wire) on a service whose default leaves it off.
+    // Such jobs still share the service's prover: the second of two
+    // identical jobs is served from its verdict cache.
+    auto model =
+        std::make_shared<bg::core::BoolGebraModel>(tiny_model_config());
+    bg::core::ServiceConfig scfg;
+    scfg.workers = 1;
+    scfg.flow = tiny_verified_flow();
+    scfg.flow.verify = false;
+    bg::core::FlowService service(scfg, model);
+    const Aig design = bg::circuits::make_benchmark_scaled("b09", 0.3);
+    for (int j = 0; j < 2; ++j) {
+        bg::core::SubmitOptions opts;
+        opts.flow = tiny_verified_flow();
+        const auto res = service.submit({"b09", design}, opts).get();
+        ASSERT_TRUE(res.verification.has_value());
+        EXPECT_EQ(res.verification->verdict, CecVerdict::Equivalent);
+        EXPECT_EQ(res.verification->from_cache, j == 1);
+    }
+    service.stop();
+    const auto st = service.stats();
+    EXPECT_EQ(st.jobs_verified, 2u);
+    EXPECT_EQ(st.verify_cache_lookups, 2u);
+    EXPECT_EQ(st.verify_cache_hits, 1u);
 }
 
 TEST(FlowVerify, EngineBatchTalliesVerification) {
