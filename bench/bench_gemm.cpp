@@ -172,13 +172,16 @@ Matrix flow_features(const bg::aig::Aig& g, std::size_t samples,
 }
 
 /// Rows against distinct rows per trunk layer, and the trunk GEMM work
-/// left, weighting layer l by its in x out widths.
+/// left against the dense forward's, weighting layer l by its in x out
+/// widths: its self GEMM runs over the count(l-1) classes of its input
+/// and its neighbour GEMM over its own count(l) classes.
 void print_classes(const bg::nn::RowClasses& classes, std::size_t rows,
                    std::span<const int> sage_dims) {
     static const char* const names[] = {"input", "sage1", "sage2", "sage3"};
     double all = 0.0;
     double left = 0.0;
     int in = bg::core::feature_dim;
+    double prev_share = 0.0;
     for (std::size_t l = 0; l < classes.cls.size(); ++l) {
         const double share = static_cast<double>(classes.count(l)) /
                              static_cast<double>(rows);
@@ -186,10 +189,11 @@ void print_classes(const bg::nn::RowClasses& classes, std::size_t rows,
                     classes.count(l), 100.0 * share);
         if (l > 0) {
             const double w = static_cast<double>(in) * sage_dims[l - 1];
-            all += w;
-            left += w * share;
+            all += 2.0 * w;
+            left += w * (prev_share + share);
             in = sage_dims[l - 1];
         }
+        prev_share = share;
     }
     std::printf("trunk GEMM work left (in x out weighted): %.1f%%\n",
                 100.0 * left / all);

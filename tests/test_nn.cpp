@@ -632,6 +632,134 @@ TEST(Sage, PanelKernelBitIdenticalToUnfusedReference) {
     }
 }
 
+TEST(Sage, InternedMapsBitIdenticalToStackedLayers) {
+    // The trunk's path: three layers, each computing one row per class
+    // from the previous layer's classes through intern_rows' maps, with
+    // self products shared by operand row.  Every class row must equal its
+    // dense row from the stacked layers bit for bit, at any pool size.
+    // Seven samples repeat three blocks that differ at a few nodes, the
+    // hub among them, so classes are shared within and across layers.
+    bg::Rng rng(77);
+    const Csr csr = hub_graph(37, rng);
+    const std::size_t n = csr.num_nodes();
+    const std::size_t in = 12;
+    std::vector<Matrix> blocks;
+    blocks.push_back(random_matrix(n, in, rng, 2.0F));
+    for (const auto& changed : {std::vector<std::size_t>{3, 10},
+                                std::vector<std::size_t>{0, 21, 22}}) {
+        Matrix b = blocks[0];
+        for (const std::size_t i : changed) {
+            const Matrix row = random_matrix(1, in, rng, 2.0F);
+            std::copy_n(row.row(0), in, b.row(i));
+        }
+        blocks.push_back(std::move(b));
+    }
+    const std::size_t pick[] = {0, 1, 0, 2, 2, 1, 0};
+    const std::size_t batch = std::size(pick);
+    Matrix x(batch * n, in);
+    for (std::size_t s = 0; s < batch; ++s) {
+        std::copy_n(blocks[pick[s]].row(0), n * in, x.row(s * n));
+    }
+    std::vector<SageConv> convs;
+    std::size_t width = in;
+    for (const std::size_t out : {48UL, 33UL, 24UL}) {
+        convs.emplace_back(width, out, rng);
+        auto params = convs.back().params();
+        for (std::size_t j = 0; j < out; ++j) {
+            params[2].value[j] = static_cast<float>(rng.next_gaussian());
+        }
+        width = out;
+    }
+    std::vector<std::unique_ptr<bg::ThreadPool>> pools;
+    pools.emplace_back();  // null pool: inline
+    for (const std::size_t workers : {1UL, 2UL, 3UL, 8UL}) {
+        pools.push_back(std::make_unique<bg::ThreadPool>(workers));
+    }
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+        bg::ThreadPool* pool = pools[p].get();
+        const RowClasses classes =
+            intern_rows(x, csr, batch, convs.size(), pool);
+        ASSERT_LT(classes.count(0), batch * n);
+        Matrix dense = x;
+        Matrix h(classes.count(0), in);
+        for (std::size_t k = 0; k < h.rows(); ++k) {
+            const std::size_t v = classes.rep[0][k];
+            std::copy_n(x.row(v % batch * n + v / batch), in, h.row(k));
+        }
+        for (std::size_t l = 0; l < convs.size(); ++l) {
+            const std::size_t out = convs[l].out_dim();
+            Matrix next(batch * n, out);
+            convs[l].forward_eval(dense, csr, RowMap::stacked(batch), next,
+                                  pool);
+            Matrix mapped(classes.count(l + 1), out);
+            convs[l].forward_eval(h, csr, classes.map(l + 1), mapped, pool);
+            EXPECT_LT(classes.count(l + 1), batch * n) << "layer " << l + 1;
+            for (std::size_t s = 0; s < batch; ++s) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    const float* got =
+                        mapped.row(classes.cls[l + 1][i * batch + s]);
+                    const float* want = next.row(s * n + i);
+                    for (std::size_t c = 0; c < out; ++c) {
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[c]),
+                                  std::bit_cast<std::uint32_t>(want[c]))
+                            << "layer " << l + 1 << " pool#" << p
+                            << " row (" << s << ", " << i << ") col " << c;
+                    }
+                }
+            }
+            dense = std::move(next);
+            h = std::move(mapped);
+        }
+    }
+}
+
+TEST(MeanPool, PoolShardingBitIdentical) {
+    // One task per sample: the pooled rows at any pool size must equal
+    // the inline bits, stacked and through a class map.  The class map's
+    // pool must also equal the stacked pool of the rows it stands for.
+    bg::Rng rng(31);
+    const std::size_t batch = 13;
+    const std::size_t n = 29;
+    const std::size_t f = 33;
+    const Matrix x = random_matrix(batch * n, f, rng, 3.0F);
+    const Matrix ops = random_matrix(batch * n / 3, f, rng, 3.0F);
+    std::vector<std::uint32_t> cls(batch * n);
+    for (auto& c : cls) {
+        c = static_cast<std::uint32_t>(rng.next_below(ops.rows()));
+    }
+    Matrix gathered(batch * n, f);
+    for (std::size_t s = 0; s < batch; ++s) {
+        for (std::size_t i = 0; i < n; ++i) {
+            std::copy_n(ops.row(cls[i * batch + s]), f,
+                        gathered.row(s * n + i));
+        }
+    }
+    const auto expect_bits = [&](const Matrix& got, const Matrix& want,
+                                 const char* what, std::size_t workers) {
+        ASSERT_EQ(got.rows(), want.rows());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+                      std::bit_cast<std::uint32_t>(want.data()[i]))
+                << what << " workers=" << workers << " at " << i;
+        }
+    };
+    Matrix stacked;
+    mean_pool(x, batch, stacked);
+    Matrix mapped;
+    mean_pool(ops, batch, mapped, cls);
+    Matrix dense;
+    mean_pool(gathered, batch, dense);
+    expect_bits(mapped, dense, "class map vs stacked", 0);
+    for (std::size_t workers = 1; workers <= 8; ++workers) {
+        bg::ThreadPool pool(workers);
+        Matrix got;
+        mean_pool(x, batch, got, {}, &pool);
+        expect_bits(got, stacked, "stacked", workers);
+        mean_pool(ops, batch, got, cls, &pool);
+        expect_bits(got, mapped, "class map", workers);
+    }
+}
+
 TEST(MeanPool, ForwardBackward) {
     Matrix x(4, 2);  // 2 samples x 2 nodes
     x.at(0, 0) = 1.0F;
