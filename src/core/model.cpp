@@ -150,7 +150,7 @@ Matrix BoolGebraModel::trunk_eval(nn::ConstMatrixView x, const nn::Csr& csr,
         h = std::move(out);
     }
     Matrix pooled;
-    nn::mean_pool(h, batch, pooled, classes.cls.back(), pool);
+    nn::mean_pool(h, batch, pooled, classes.cls.back());
     return pooled;
 }
 

@@ -22,9 +22,8 @@
 /// running statistics).  Evaluation is const and has one path: the SAGE
 /// trunk computes each distinct row once per call (nn::intern_rows), and
 /// each layer's self products once per previous-layer class; mean
-/// pooling reads each sample's rows from those classes, one pool task per
-/// sample, and the MLP and BatchNorm run on chunks of kPredictBatch
-/// samples.  The trainer's
+/// pooling reads each sample's rows from those classes, and the MLP and
+/// BatchNorm run on chunks of kPredictBatch samples.  The trainer's
 /// losses and predict() reach it through forward_eval() (one chunk), the
 /// flows through predict_batch_head/_blend (one trunk pass over every
 /// sample of the call).  Predictions are bit-identical to the dense

@@ -312,7 +312,7 @@ void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
 }
 
 void mean_pool(ConstMatrixView x, std::size_t batch, Matrix& pooled,
-               std::span<const std::uint32_t> cls, bg::ThreadPool* pool) {
+               std::span<const std::uint32_t> cls) {
     const std::size_t total = cls.empty() ? x.rows() : cls.size();
     BG_EXPECTS(batch > 0 && total % batch == 0,
                "rows must divide evenly into batch blocks");
@@ -320,7 +320,7 @@ void mean_pool(ConstMatrixView x, std::size_t batch, Matrix& pooled,
     const std::size_t f = x.cols();
     pooled = Matrix(batch, f);
     const float inv = 1.0F / static_cast<float>(n);
-    bg::for_each_index(pool, batch, [&](std::size_t b) {
+    for (std::size_t b = 0; b < batch; ++b) {
         float* p = pooled.row(b);
         for (std::size_t i = 0; i < n; ++i) {
             const float* xi =
@@ -332,7 +332,7 @@ void mean_pool(ConstMatrixView x, std::size_t batch, Matrix& pooled,
         for (std::size_t c = 0; c < f; ++c) {
             p[c] *= inv;
         }
-    });
+    }
 }
 
 void mean_pool_backward(const Matrix& dpooled, std::size_t num_nodes,
@@ -389,41 +389,29 @@ void SageConv::run_panels(ConstMatrixView x, const Csr& csr,
     }
     // Every product starts from +0 and accumulates in ascending k, as
     // matmul into a fresh matrix does, whichever row or panel computes it.
-    // A class map's self operands repeat across its rows, so it computes
-    // each input row's self product once, into a table read by operand
-    // row; the identity's operand rows are its panel's own rows.
-    Matrix self_table;
-    if (mapped) {
-        self_table = Matrix(x.rows(), width);
-        gemm_accumulate(x, w_self_, self_table.view(), pool);
-    }
+    // Each input row's self product is computed once, into a table read by
+    // operand row: a class map's rows share self operands.
+    Matrix self_table(x.rows(), width);
+    gemm_accumulate(x, w_self_, self_table.view(), pool);
     const std::size_t panels = (rows + kRowPanel - 1) / kRowPanel;
     bg::for_each_index(pool, panels, [&](std::size_t p) {
         const std::size_t r0 = p * kRowPanel;
         const std::size_t m = std::min(kRowPanel, rows - r0);
         const std::size_t agg_len = agg.empty() ? m * in : 0;
-        const std::size_t self_len = mapped ? 0 : m * width;
         auto& tiles = t_panel_tiles;
-        if (tiles.size() < agg_len + self_len + m * width) {
-            tiles.resize(agg_len + self_len + m * width);
+        if (tiles.size() < agg_len + m * width) {
+            tiles.resize(agg_len + m * width);
         }
         const MatrixView h = agg.empty() ? MatrixView(tiles.data(), m, in, in)
                                          : agg.rows_view(r0, m);
         aggregate_rows(x, csr, map, r0, r0 + m, h);
         float* neigh = tiles.data() + agg_len;
-        float* self = neigh + m * width;
-        std::fill(neigh, self + self_len, 0.0F);
+        std::fill(neigh, neigh + m * width, 0.0F);
         gemm_accumulate(h, w_neigh_, MatrixView(neigh, m, width, width),
                         nullptr);
-        if (!mapped) {
-            gemm_accumulate(x.rows_view(r0, m), w_self_,
-                            MatrixView(self, m, width, width), nullptr);
-        }
         const float* bias = b_.data();
         for (std::size_t r = 0; r < m; ++r) {
-            const float* sr =
-                mapped ? self_table.row(self_operand(map, n, r0 + r))
-                       : self + r * width;
+            const float* sr = self_table.row(self_operand(map, n, r0 + r));
             const float* nr = neigh + r * width;
             float* o = out.row(r0 + r);
             if (pre.empty()) {

@@ -94,21 +94,21 @@ RowClasses intern_rows(ConstMatrixView x, const Csr& csr, std::size_t batch,
 /// y_i = ReLU6(x_i W_self + mean_{j in N(i)} x_j W_neigh + b): one
 /// GraphSAGE layer with the paper's activation folded in.
 ///
-/// Both passes run one fused kernel, one task per kRowPanel-row panel of
-/// the output: it aggregates the panel's neighbours, runs the neighbour
-/// GEMM for those rows into a task-local tile (each element an
-/// ascending-k sum from +0, as matmul gives), adds each row's self
-/// product and writes clamp((self + neigh) + b, 0, 6) once.  Over the
-/// identity map the panel runs its own rows' self GEMM into a second
-/// tile, and the layer allocates no temporary of its own size.  A class
-/// map's rows share self operands, so before the panel loop it computes
-/// every input row's self product once, on the pool, into a table of
-/// x.rows() x out floats that the panels read by operand row.  The table
-/// has one row per input row: a map that reads few of many input rows
-/// computes products nobody reads (the trunk's maps read every one).  An
-/// output row depends only on its own operand rows, read through a
-/// RowMap, and every element sees the same operations in the same order
-/// at any pool size, in any panel and from either map.
+/// Both passes run one fused kernel.  It first computes every input row's
+/// self product once, on the pool, into a table of x.rows() x out floats:
+/// a class map's rows share self operands, so the self GEMM runs over the
+/// input's rows rather than the output's.  Then one task per
+/// kRowPanel-row panel of the output aggregates the panel's neighbours,
+/// runs the neighbour GEMM for those rows into a task-local tile (each
+/// element of either product an ascending-k sum from +0, as matmul
+/// gives), reads each row's self product by operand row and writes
+/// clamp((self + neigh) + b, 0, 6) once.  The table has one row per input
+/// row: over the identity it is as large as the output, and a map that
+/// reads few of many input rows computes products nobody reads (the
+/// trunk's maps read every one).  An output row depends only on its own
+/// operand rows, read through a RowMap, and every element sees the same
+/// operations in the same order at any pool size, in any panel and from
+/// either map.
 class SageConv {
 public:
     SageConv(std::size_t in, std::size_t out, bg::Rng& rng);
@@ -121,9 +121,9 @@ public:
                    bg::ThreadPool* pool = nullptr);
     /// Evaluation pass of the rows `map` names into `out`, one row each,
     /// whose stale contents are overwritten and which must not overlap
-    /// `x`.  A class map first fills its self-product table (one row per
-    /// row of `x`); the identity needs none.  Touches no member, so
-    /// concurrent forwards may share one layer and one pool.
+    /// `x`.  Allocates the self-product table (one row per row of `x`) for
+    /// the call.  Touches no member, so concurrent forwards may share one
+    /// layer and one pool.
     void forward_eval(ConstMatrixView x, const Csr& csr, const RowMap& map,
                       MatrixView out, bg::ThreadPool* pool = nullptr) const;
     /// dL/d(output) -> dL/dx; accumulates parameter gradients.
@@ -169,11 +169,9 @@ void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
 /// Mean pooling over each sample's N node rows -> (B, F): sample s sums
 /// its rows from +0 in node order, then scales by 1/N.  Row (s, i) is
 /// x.row(s*N + i), or x.row(cls[i*B + s]) when a class map `cls` of B*N
-/// entries is given (the last layer of RowClasses).  One `pool` task per
-/// sample writes that sample's row, so the bits do not depend on the pool.
+/// entries is given (the last layer of RowClasses).
 void mean_pool(ConstMatrixView x, std::size_t batch, Matrix& pooled,
-               std::span<const std::uint32_t> cls = {},
-               bg::ThreadPool* pool = nullptr);
+               std::span<const std::uint32_t> cls = {});
 /// The adjoint of the stacked mean_pool().
 void mean_pool_backward(const Matrix& dpooled, std::size_t num_nodes,
                         Matrix& dx);

@@ -101,7 +101,7 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
             for (std::size_t j = 0; j < a.num_pis(); ++j) {
                 block.push_back(mk_lit(enc.pi_vars[j], cex[j]));
             }
-            if (!solver.add_clause(block)) {
+            if (!solver.add_clause(std::move(block))) {
                 // Blocking collapsed the instance (e.g. zero PIs); the
                 // solver state is no longer trustworthy here.
                 res.verdict = aig::CecVerdict::ProbablyEquivalent;

@@ -40,15 +40,13 @@ std::size_t Solver::memory_estimate() const {
            capacity_bytes(seen_) + capacity_bytes(model_);
 }
 
-bool Solver::add_clause(std::span<const Lit> clause) {
+bool Solver::add_clause(std::vector<Lit> lits) {
     BG_EXPECTS(decision_level() == 0, "clauses must be added at level 0");
     if (unsat_) {
         return false;
     }
-    // Normalize a copy: sort, dedup, drop false literals, detect
+    // Normalize in place: sort, dedup, drop false literals, detect
     // tautologies and satisfied clauses.
-    std::vector<Lit>& lits = clause_;
-    lits.assign(clause.begin(), clause.end());
     std::sort(lits.begin(), lits.end());
     lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
     std::size_t kept = 0;

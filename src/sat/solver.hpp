@@ -23,8 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
-#include <span>
 #include <vector>
 
 namespace bg::sat {
@@ -55,12 +53,7 @@ public:
 
     /// Add a clause (empty clause makes the instance trivially UNSAT).
     /// Returns false when the database is already known unsatisfiable.
-    /// The clause is normalized in a member scratch vector, so a call
-    /// makes no heap copy of its own.
-    bool add_clause(std::span<const Lit> clause);
-    bool add_clause(std::initializer_list<Lit> clause) {
-        return add_clause(std::span<const Lit>(clause.begin(), clause.size()));
-    }
+    bool add_clause(std::vector<Lit> lits);
 
     /// Solve under optional assumptions.  `conflict_budget` < 0 means
     /// unlimited; the budget counts *lifetime* conflicts, so incremental
@@ -154,7 +147,6 @@ private:
     std::vector<std::int32_t> heap_index_;  // position in heap_, -1 = absent
     std::vector<std::int8_t> seen_;         // analyze() scratch, kept clear
     std::vector<Lit> learned_;              // analyze() output
-    std::vector<Lit> clause_;               // add_clause() scratch
     std::vector<std::int8_t> model_;
     bool unsat_ = false;
     std::function<bool()> interrupt_;

@@ -713,53 +713,6 @@ TEST(Sage, InternedMapsBitIdenticalToStackedLayers) {
     }
 }
 
-TEST(MeanPool, PoolShardingBitIdentical) {
-    // One task per sample: the pooled rows at any pool size must equal
-    // the inline bits, stacked and through a class map.  The class map's
-    // pool must also equal the stacked pool of the rows it stands for.
-    bg::Rng rng(31);
-    const std::size_t batch = 13;
-    const std::size_t n = 29;
-    const std::size_t f = 33;
-    const Matrix x = random_matrix(batch * n, f, rng, 3.0F);
-    const Matrix ops = random_matrix(batch * n / 3, f, rng, 3.0F);
-    std::vector<std::uint32_t> cls(batch * n);
-    for (auto& c : cls) {
-        c = static_cast<std::uint32_t>(rng.next_below(ops.rows()));
-    }
-    Matrix gathered(batch * n, f);
-    for (std::size_t s = 0; s < batch; ++s) {
-        for (std::size_t i = 0; i < n; ++i) {
-            std::copy_n(ops.row(cls[i * batch + s]), f,
-                        gathered.row(s * n + i));
-        }
-    }
-    const auto expect_bits = [&](const Matrix& got, const Matrix& want,
-                                 const char* what, std::size_t workers) {
-        ASSERT_EQ(got.rows(), want.rows());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
-                      std::bit_cast<std::uint32_t>(want.data()[i]))
-                << what << " workers=" << workers << " at " << i;
-        }
-    };
-    Matrix stacked;
-    mean_pool(x, batch, stacked);
-    Matrix mapped;
-    mean_pool(ops, batch, mapped, cls);
-    Matrix dense;
-    mean_pool(gathered, batch, dense);
-    expect_bits(mapped, dense, "class map vs stacked", 0);
-    for (std::size_t workers = 1; workers <= 8; ++workers) {
-        bg::ThreadPool pool(workers);
-        Matrix got;
-        mean_pool(x, batch, got, {}, &pool);
-        expect_bits(got, stacked, "stacked", workers);
-        mean_pool(ops, batch, got, cls, &pool);
-        expect_bits(got, mapped, "class map", workers);
-    }
-}
-
 TEST(MeanPool, ForwardBackward) {
     Matrix x(4, 2);  // 2 samples x 2 nodes
     x.at(0, 0) = 1.0F;
