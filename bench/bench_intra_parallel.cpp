@@ -5,7 +5,9 @@
 /// the throughput table it self-checks the acceptance bar — bit-identical
 /// committed graphs at every worker count and a >= 1.5x orchestration
 /// speedup at 4 workers on the registry design — and returns nonzero if
-/// any check fails, so CI/nightly can gate on it.
+/// any check fails, so CI/nightly can gate on it.  It also hosts the
+/// 1M-AND flow round: one size-objective run_design_flow round on the
+/// file-backed design, checked to run on that graph and to commit a size.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,6 +21,8 @@
 #include "circuits/design_source.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/registry.hpp"
+#include "core/flow_engine.hpp"
+#include "core/model.hpp"
 #include "io/aiger.hpp"
 #include "opt/orchestrate.hpp"
 #include "util/parallel.hpp"
@@ -158,6 +162,32 @@ int main(int argc, char** argv) {
     check(loaded.num_ands() >= k_file_ands,
           "file-backed design keeps >= 1M AND nodes");
     (void)run_stage("file-1M", loaded, 1, table, check);
+
+    // -- one size-objective flow round --------------------------------------
+    bg::core::ModelConfig mc = bg::core::ModelConfig::quick();
+    mc.sage_dims = {12, 12, 8};
+    mc.mlp_dims = {16, 8, 1};
+    mc.dropout = 0.0F;
+    mc.seed = 17;
+    const bg::core::BoolGebraModel model{mc};
+    bg::core::FlowConfig fc;
+    fc.num_samples = full ? 8 : 2;
+    fc.top_k = 1;
+    fc.seed = 11;
+
+    bg::ThreadPool pool;  // default size: the static-feature checks dominate
+    bg::Stopwatch sw;
+    const auto res = bg::core::run_design_flow({"scale", loaded}, model, fc,
+                                               /*rounds=*/1, &pool);
+    const double t_flow = sw.seconds();
+    table.add_row({"size-objective flow round",
+                   bg::TablePrinter::fmt(t_flow, 2),
+                   std::to_string(res.samples_run) + " samples"});
+    check(res.original_size == loaded.num_ands(),
+          "flow round ran on the file-backed graph");
+    check(res.iterated.final_size > 0 &&
+              res.iterated.final_size <= res.original_size,
+          "flow round completed with a committed size");
 
     std::error_code ec;
     fs::remove_all(dir, ec);

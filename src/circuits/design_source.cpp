@@ -1,7 +1,10 @@
 #include "circuits/design_source.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "circuits/registry.hpp"
 #include "io/aiger.hpp"
@@ -88,6 +91,39 @@ std::vector<ResolvedDesign> resolve_file_spec(const std::string& body) {
     return out;
 }
 
+/// Throws unless make_benchmark_scaled can take `scale`: finite, positive,
+/// and small enough that num_pis * scale converts to unsigned and
+/// target_ands * scale to std::size_t for every registry design.  A
+/// product grows with its count, so the registry's largest counts bound
+/// them all.  `spec` names the spec whose @scale suffix this is; empty for
+/// a scale argument.
+void check_scale(double scale, const std::string& spec = {}) {
+    double max_pis = 0.0;
+    double max_ands = 0.0;
+    for (const auto& info : benchmark_registry()) {
+        max_pis = std::max(max_pis, static_cast<double>(info.num_pis));
+        max_ands = std::max(max_ands, static_cast<double>(info.target_ands));
+    }
+    const double unsigned_end =
+        std::ldexp(1.0, std::numeric_limits<unsigned>::digits);
+    const double size_end =
+        std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+    if (std::isfinite(scale) && scale > 0.0 &&
+        max_pis * scale < unsigned_end && max_ands * scale < size_end) {
+        return;
+    }
+    const auto fmt = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return std::string(buf);
+    };
+    throw DesignSourceError(
+        "bad scale " + fmt(scale) +
+        (spec.empty() ? "" : " in design spec '" + spec + "'") +
+        ": must be finite, positive and below " +
+        fmt(unsigned_end / max_pis));
+}
+
 ResolvedDesign resolve_registry_name(const std::string& spec, double scale) {
     std::string name = spec;
     const auto at = spec.find('@');
@@ -99,10 +135,7 @@ ResolvedDesign resolve_registry_name(const std::string& spec, double scale) {
             throw DesignSourceError("bad scale suffix in design spec '" +
                                     spec + "'");
         }
-        if (scale <= 0.0) {
-            throw DesignSourceError("scale must be positive in '" + spec +
-                                    "'");
-        }
+        check_scale(scale, spec);
     }
     const auto& names = benchmark_names();
     if (std::find(names.begin(), names.end(), name) == names.end()) {
@@ -125,6 +158,7 @@ aig::Aig ResolvedDesign::load() const {
 
 std::vector<ResolvedDesign> resolve_design_spec(const std::string& spec,
                                                 double scale) {
+    check_scale(scale);
     if (spec.starts_with(k_file_prefix)) {
         return resolve_file_spec(spec.substr(sizeof("file:") - 1));
     }
@@ -154,6 +188,7 @@ std::vector<ResolvedDesign> resolve_design_specs(
     const std::vector<std::string>& specs, bool all, double scale) {
     std::vector<ResolvedDesign> out;
     if (all) {
+        check_scale(scale);
         for (const auto& info : benchmark_registry()) {
             out.push_back(
                 {info.name, DesignOrigin::Registry, info.name, scale});

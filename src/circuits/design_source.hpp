@@ -17,9 +17,11 @@
 ///   path.aag|.aig|.bench   bare netlist path (historical shorthand)
 ///
 /// Every resolution failure — unknown registry name, glob matching
-/// nothing, unreadable or malformed file — throws DesignSourceError with
-/// a message naming the offending spec; the CLI maps it to exit code 2
-/// so scripted suites distinguish "bad invocation" from "flow failed".
+/// nothing, unreadable or malformed file, a scale that is not finite and
+/// positive or too large to size a registry design — throws
+/// DesignSourceError with a message naming the offending spec or scale;
+/// the CLI maps it to exit code 2 so scripted suites distinguish "bad
+/// invocation" from "flow failed".
 
 #include <stdexcept>
 #include <string>

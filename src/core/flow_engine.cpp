@@ -3,10 +3,8 @@
 #include <optional>
 
 #include "circuits/design_source.hpp"
-#include "circuits/registry.hpp"
 #include "core/flow_service.hpp"
 #include "util/contracts.hpp"
-#include "util/glob.hpp"
 #include "util/progress.hpp"
 
 namespace bg::core {
@@ -186,29 +184,6 @@ BatchFlowResult FlowEngine::run(std::span<const DesignJob> jobs,
             static_cast<double>(out.designs.size()) / out.total_seconds;
         out.samples_per_second =
             static_cast<double>(out.total_samples) / out.total_seconds;
-    }
-    return out;
-}
-
-std::vector<DesignJob> jobs_from_registry(std::span<const std::string> names,
-                                          double scale) {
-    std::vector<DesignJob> jobs;
-    jobs.reserve(names.size());
-    for (const auto& name : names) {
-        // One code path for every scale: make_benchmark_scaled(name, 1.0)
-        // reproduces make_benchmark exactly (asserted by
-        // tests/test_flow_engine.cpp), so no float-equality dispatch.
-        jobs.push_back({name, circuits::make_benchmark_scaled(name, scale)});
-    }
-    return jobs;
-}
-
-std::vector<std::string> expand_registry_pattern(const std::string& pattern) {
-    std::vector<std::string> out;
-    for (const auto& info : circuits::benchmark_registry()) {
-        if (bg::glob_match(pattern, info.name)) {
-            out.push_back(info.name);
-        }
     }
     return out;
 }

@@ -171,17 +171,6 @@ private:
     std::unique_ptr<FlowService> service_;
 };
 
-/// Registry names -> jobs, optionally scaled (scale < 1.0 shrinks for
-/// quick runs, > 1.0 grows).  Every scale goes through
-/// make_benchmark_scaled — an identity at scale 1.0 — so there is no
-/// float-equality special case.  Unknown names throw std::out_of_range.
-std::vector<DesignJob> jobs_from_registry(std::span<const std::string> names,
-                                          double scale = 1.0);
-
-/// Expand a shell-style pattern ('*' and '?') against the registry names;
-/// a literal name matches itself.  Returns names in registry order.
-std::vector<std::string> expand_registry_pattern(const std::string& pattern);
-
 /// Full design-spec resolution (circuits::resolve_design_specs semantics:
 /// registry names, name@scale, registry globs, file:<path|glob>, bare
 /// netlist paths; `all` prepends the whole registry) with every design

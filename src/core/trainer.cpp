@@ -163,14 +163,15 @@ TrainResult train_model(BoolGebraModel& model,
                "decay_every of 0 would divide by zero in the step decay");
     TrainResult result;
 
-    // Per-design splits.
+    // Per-design splits: 80% train, 20% test.
+    constexpr double k_train_fraction = 0.8;
     auto& splits = result.splits;
     splits.reserve(datasets.size());
     for (std::size_t d = 0; d < datasets.size(); ++d) {
         BG_EXPECTS(datasets[d]->size() >= 2,
                    "training needs at least two samples");
         splits.push_back(
-            datasets[d]->split(cfg.train_fraction, cfg.seed + d));
+            datasets[d]->split(k_train_fraction, cfg.seed + d));
         BG_EXPECTS(!splits.back().train.empty(), "empty training split");
     }
     fit_input_stats(model, datasets, splits);

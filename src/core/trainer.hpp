@@ -27,7 +27,6 @@ struct TrainConfig {
     double lr = 8e-7;              ///< paper: Adam with lr 8e-7
     double decay_factor = 0.5;     ///< paper: x0.5 every 100 epochs
     unsigned decay_every = 100;
-    double train_fraction = 0.8;
     std::uint64_t seed = 7;
     /// Record test loss every `eval_every` epochs (1 = every epoch).
     std::size_t eval_every = 1;

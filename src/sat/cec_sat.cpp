@@ -89,9 +89,11 @@ SatCecResult check_equivalence_sat_full(const aig::Aig& a, const aig::Aig& b,
             // Spurious: the solver produced a model simulation refutes.
             // Never throw from a verdict path — block the offending input
             // pattern (sound: simulation just proved it non-differing),
-            // re-solve a bounded number of times, then degrade honestly.
+            // re-solve at most k_max_spurious_retries times, then degrade
+            // honestly.
+            constexpr int k_max_spurious_retries = 1;
             ++res.stats.spurious_cex;
-            if (retries >= opts.max_spurious_retries) {
+            if (retries >= k_max_spurious_retries) {
                 res.verdict = aig::CecVerdict::ProbablyEquivalent;
                 return res;
             }

@@ -36,11 +36,6 @@ struct SatCecOptions {
     /// per-output solve on the incremental instance; falls back to
     /// ProbablyEquivalent when exhausted (< 0 = unlimited).
     std::int64_t conflict_budget = 200000;
-    /// Bounded re-solves after a spurious (simulation-refuted)
-    /// counterexample: the offending input pattern — proven non-differing
-    /// by simulation — is blocked and the output re-solved at most this
-    /// many times before the verdict degrades to ProbablyEquivalent.
-    int max_spurious_retries = 1;
     /// Cooperative cancellation and the time budget, polled inside the
     /// solver; a stopped token (flag or deadline) degrades the verdict to
     /// ProbablyEquivalent instead of throwing.  Must outlive the call.

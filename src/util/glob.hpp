@@ -2,9 +2,8 @@
 
 /// \file glob.hpp
 /// Shell-style glob matching ('*' = any run including empty, '?' = any
-/// single character, everything else literal) — the pattern language used
-/// by both the benchmark registry (core::expand_registry_pattern) and
-/// file-backed design specs (circuits::resolve_design_spec).
+/// single character, everything else literal) — the pattern language of
+/// registry and file-backed design specs (circuits::resolve_design_spec).
 
 #include <string>
 

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "aig/cec.hpp"
 #include "circuits/design_source.hpp"
@@ -87,6 +88,13 @@ TEST_F(DesignSourceTest, UnknownNameAndEmptyGlobThrow) {
     EXPECT_THROW(resolve_design_spec("z*"), DesignSourceError);
     EXPECT_THROW(resolve_design_spec("b07@banana"), DesignSourceError);
     EXPECT_THROW(resolve_design_spec("b07@-1"), DesignSourceError);
+    // Scales make_benchmark_scaled cannot convert to node counts.
+    EXPECT_THROW(resolve_design_spec("b07@nan"), DesignSourceError);
+    EXPECT_THROW(resolve_design_spec("b07@inf"), DesignSourceError);
+    EXPECT_THROW(resolve_design_spec("b07@1e300"), DesignSourceError);
+    EXPECT_THROW(
+        resolve_design_spec("b07", std::numeric_limits<double>::quiet_NaN()),
+        DesignSourceError);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ TEST(FlowEngine, BatchedMatchesSequentialAtEveryWorkerCount) {
         reference.push_back(run_flow(job.design, m, tiny_flow()));
     }
 
-    for (const std::size_t workers : {1UL, 2UL, 8UL}) {
+    for (const std::size_t workers : {1UL, 2UL, 4UL, 8UL}) {
         EngineConfig cfg;
         cfg.workers = workers;
         cfg.flow = tiny_flow();
@@ -190,18 +190,6 @@ TEST(FlowEngine, EmptyBatchYieldsNeutralAggregates) {
     EXPECT_EQ(batch.total_samples, 0u);
 }
 
-TEST(FlowEngineHelpers, JobsFromRegistryBuildsScaledDesigns) {
-    const std::vector<std::string> names = {"b07", "b10"};
-    const auto full = jobs_from_registry(names);
-    const auto scaled = jobs_from_registry(names, 0.3);
-    ASSERT_EQ(full.size(), 2u);
-    ASSERT_EQ(scaled.size(), 2u);
-    EXPECT_EQ(full[0].name, "b07");
-    EXPECT_GT(full[0].design.num_ands(), scaled[0].design.num_ands());
-    const std::vector<std::string> unknown = {"no_such_design"};
-    EXPECT_THROW((void)jobs_from_registry(unknown), std::out_of_range);
-}
-
 TEST(FlowEngine, SamplesRunCountsOnlyExecutedRounds) {
     // Iterated flow with a generous round budget: the round driver must
     // report the decision vectors actually scored (executed rounds,
@@ -224,8 +212,8 @@ TEST(FlowEngine, SamplesRunCountsOnlyExecutedRounds) {
 }
 
 TEST(FlowEngineHelpers, ScaledGeneratorIsIdentityAtScaleOne) {
-    // jobs_from_registry routes every scale through make_benchmark_scaled;
-    // that is only sound if scale 1.0 reproduces make_benchmark exactly.
+    // Registry specs load every scale through make_benchmark_scaled; that
+    // is only sound if scale 1.0 reproduces make_benchmark exactly.
     for (const auto& name : bg::circuits::benchmark_names()) {
         SCOPED_TRACE(name);
         const auto direct = bg::circuits::make_benchmark(name);
@@ -233,8 +221,7 @@ TEST(FlowEngineHelpers, ScaledGeneratorIsIdentityAtScaleOne) {
         EXPECT_EQ(bg::io::write_aiger_string(direct),
                   bg::io::write_aiger_string(scaled));
     }
-    const std::vector<std::string> names = {"b07"};
-    const auto jobs = jobs_from_registry(names);  // default scale 1.0
+    const auto jobs = jobs_from_specs({"b07"}, false);  // default scale 1.0
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(bg::io::write_aiger_string(jobs[0].design),
               bg::io::write_aiger_string(bg::circuits::make_benchmark("b07")));
@@ -282,24 +269,6 @@ TEST(FlowEngineHelpers, GlobMatchEdgeCases) {
     EXPECT_TRUE(bg::glob_match("b1**", "b12"));
     EXPECT_FALSE(bg::glob_match("b1*2*4", "b1234X"));
     EXPECT_TRUE(bg::glob_match("b1*2*4", "b1X2X4"));
-}
-
-TEST(FlowEngineHelpers, RegistryPatternExpansion) {
-    const auto all_names = bg::circuits::benchmark_names();
-    EXPECT_EQ(expand_registry_pattern("*"), all_names);
-
-    const auto b1x = expand_registry_pattern("b1?");
-    for (const auto& name : b1x) {
-        EXPECT_EQ(name.size(), 3u);
-        EXPECT_EQ(name.substr(0, 2), "b1");
-    }
-    EXPECT_FALSE(b1x.empty());
-
-    const auto literal = expand_registry_pattern("b07");
-    ASSERT_EQ(literal.size(), 1u);
-    EXPECT_EQ(literal[0], "b07");
-
-    EXPECT_TRUE(expand_registry_pattern("zzz*").empty());
 }
 
 }  // namespace

@@ -513,8 +513,7 @@ TEST(MultiHeadFlow, EngineReportsRankingHead) {
     cfg.flow.objective = bg::opt::make_objective("depth");
     FlowEngine engine(cfg);
     const BoolGebraModel multi(tiny_config(all_heads()));
-    const auto jobs =
-        jobs_from_registry(std::vector<std::string>{"b07"}, 0.3);
+    const auto jobs = jobs_from_specs({"b07"}, false, 0.3);
     const auto batch = engine.run(jobs, multi);
     EXPECT_EQ(batch.objective, "depth");
     EXPECT_EQ(batch.ranked_by, "depth");

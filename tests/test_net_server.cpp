@@ -75,6 +75,13 @@ SubmitJobMsg blob_job(const std::string& name, const std::string& blob) {
     return msg;
 }
 
+SubmitJobMsg spec_job(const std::string& spec) {
+    SubmitJobMsg msg;
+    msg.kind = DesignKind::DesignSpec;
+    msg.design = spec;
+    return msg;
+}
+
 /// A job heavy enough (thousands of scored samples) that disconnect /
 /// cancel / stop always lands while it is queued or running; the flow
 /// polls its CancelToken inside the sample loops, so cancellation is
@@ -334,8 +341,33 @@ TEST(NetServer, GarbageBytesGetTypedErrorAndServerSurvives) {
     const ResultMsg res = client.wait(id);
     EXPECT_EQ(res.status, JobStatus::Rejected);
     EXPECT_FALSE(res.message.empty());
+
+    // So is a spec whose scale cannot size a registry design: it must be
+    // refused on the reader thread before any graph is built.
+    const ResultMsg nan_scale = client.wait(client.submit(spec_job("b07@nan")));
+    EXPECT_EQ(nan_scale.status, JobStatus::Rejected);
+    EXPECT_FALSE(nan_scale.message.empty());
     EXPECT_EQ(client.stats().jobs_pending, 0u)
         << "a rejected job must not leak into the queues";
+    server.stop();
+}
+
+TEST(NetServer, SpecJobsRejectedWhenSpecsDisabled) {
+    const auto model =
+        std::make_shared<const BoolGebraModel>(tiny_model_config());
+    ServerConfig cfg = tiny_server(1);
+    cfg.allow_specs = false;
+    FlowServer server(cfg, model);
+    FlowClient client({.host = "127.0.0.1", .port = server.port(), .token = ""});
+
+    const ResultMsg spec = client.wait(client.submit(spec_job("b07@0.3")));
+    EXPECT_EQ(spec.status, JobStatus::Rejected);
+    EXPECT_FALSE(spec.message.empty());
+
+    // The refusal is per job: a blob on the same connection still runs.
+    const ResultMsg blob =
+        client.wait(client.submit(blob_job("b07", blob_of("b07", 0.3))));
+    EXPECT_EQ(blob.status, JobStatus::Ok) << blob.message;
     server.stop();
 }
 

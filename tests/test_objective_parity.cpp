@@ -171,8 +171,7 @@ TEST(SizeParity, IteratedFlowCommitsIdenticalGraphs) {
 
 TEST(SizeParity, EngineBatchIdenticalAcrossWorkersAndObjectiveSpelling) {
     const BoolGebraModel model(tiny_config());
-    const auto jobs = jobs_from_registry(
-        std::vector<std::string>{"b07", "b10"}, 0.3);
+    const auto jobs = jobs_from_specs({"b07", "b10"}, false, 0.3);
 
     BatchFlowResult reference;
     for (const std::size_t workers : {1UL, 2UL, 4UL}) {
@@ -235,8 +234,7 @@ TEST(SizeParity, V1CheckpointFlowsBitIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(direct.ranked_by, "size");
     EXPECT_EQ(via_file.ranked_by, "size");
 
-    const auto jobs = jobs_from_registry(
-        std::vector<std::string>{"b07", "b10"}, 0.3);
+    const auto jobs = jobs_from_specs({"b07", "b10"}, false, 0.3);
     BatchFlowResult reference;
     for (const std::size_t workers : {1UL, 2UL, 4UL}) {
         EngineConfig cfg;
