@@ -87,7 +87,8 @@ int main() {
     } else {
         // The pin: a normal build must compile the hooks to nothing, so
         // an active recorder observes zero reads.
-        if (!shadow.entries.empty() || shadow.overflow || shadow.po_read) {
+        if (!shadow.entries.empty() || shadow.overflow ||
+            shadow.undeclarable_read) {
             std::fprintf(stderr,
                          "FAIL: normal build recorded %zu accessor reads — "
                          "an audit hook is compiled unconditionally\n",

@@ -338,15 +338,15 @@ public:
 
     std::span<const Var> pis() const { return pis_; }
     std::span<const Lit> pos() const {
-        BG_AUDIT_READ_PO();
+        BG_AUDIT_READ_UNDECLARABLE();
         return pos_;
     }
     Lit po(std::size_t i) const {
-        BG_AUDIT_READ_PO();
+        BG_AUDIT_READ_UNDECLARABLE();
         return pos_[i];
     }
     NodeRef po_ref(std::size_t i) const {
-        BG_AUDIT_READ_PO();
+        BG_AUDIT_READ_UNDECLARABLE();
         return NodeRef::from_lit(pos_[i]);
     }
     Var pi(std::size_t i) const { return pis_[i]; }
@@ -368,13 +368,13 @@ public:
 
     /// Recompute levels of all live nodes (PI level 0, AND = 1 + max fanin).
     void update_levels();
-    /// The cached level.  Audited as a Struct read: levels are refreshed
-    /// only by update_levels(), which never runs during a parallel pass,
-    /// so during speculation a var's level is a function of the frozen
-    /// structure reachable from it — and every level() consumer reads it
-    /// for vars whose structure it has already declared.
+    /// The cached level.  No footprint class covers it: the parallel
+    /// orchestrator refreshes levels on its commit thread without
+    /// journaling, so a level read during speculation would be unsound,
+    /// and audit builds fail it like a PO-array read.  Checks read no
+    /// levels; only the walk's commit-time depth judgement does.
     std::uint32_t level(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
+        BG_AUDIT_READ_UNDECLARABLE();
         return nodes_[v].level();
     }
     /// Longest PI-to-PO path in AND nodes; calls update_levels().

@@ -22,7 +22,7 @@
 ///    static_assert in the tests).
 ///
 /// Read-class semantics match footprint.hpp / the Aig mutation journal:
-///  - Struct: existence, dead flag, fanin literals, cached level
+///  - Struct: existence, dead flag, fanin literals
 ///  - Ref:    reference count, PO reference count
 ///  - Fanout: fanout list (and strash-key presence over a var's ANDs)
 ///
@@ -30,10 +30,11 @@
 ///  - immutable per-var facts (`is_pi`, `pis`) and global counters
 ///    (`num_slots`, `num_ands`, `num_pis`) — footprints cannot express
 ///    them, and speculation uses them only for scratch sizing;
-///  - the PO array (`po`, `pos`, `po_ref`), which *is* hooked, but as a
-///    hard failure: a speculated check has no footprint class to declare
-///    a PO-array read with, so reading it during speculation is unsound
-///    by construction.
+///  - the PO array (`po`, `pos`, `po_ref`) and the cached level
+///    (`level`), which *are* hooked, but as a hard failure: a speculated
+///    check has no footprint class to declare either read with (levels
+///    are refreshed on the commit thread without journaling), so reading
+///    them during speculation is unsound by construction.
 
 #include <cstdint>
 #include <vector>
@@ -57,13 +58,13 @@ constexpr bool enabled() {
 struct ShadowSet {
     std::vector<std::uint32_t> entries;
     bool overflow = false;  ///< cap exceeded; the audit cannot conclude
-    bool po_read = false;   ///< PO-array read observed (always unsound)
+    bool undeclarable_read = false;  ///< PO array or level: unsound
     std::size_t cap = 4u * 1024u * 1024u;
 
     void clear() {
         entries.clear();
         overflow = false;
-        po_read = false;
+        undeclarable_read = false;
     }
 };
 
@@ -87,12 +88,12 @@ inline void shadow_read(std::uint32_t v, Read k) {
     s->entries.push_back(fp_encode(v, k));
 }
 
-/// Report a PO-array read — inexpressible in footprints, so any audited
-/// computation that performs one fails verification outright.
-inline void shadow_read_po() {
+/// Report a read inexpressible in footprints (PO array, cached level):
+/// any audited computation that performs one fails verification.
+inline void shadow_read_undeclarable() {
     ShadowSet* s = detail::active_shadow;
     if (s != nullptr) [[unlikely]] {
-        s->po_read = true;
+        s->undeclarable_read = true;
     }
 }
 
@@ -123,8 +124,9 @@ private:
 /// accessor keeps its exact pre-audit body (see enabled()).
 #ifdef BOOLGEBRA_AUDIT
 #define BG_AUDIT_READ(v, k) ::bg::aig::audit::shadow_read((v), (k))
-#define BG_AUDIT_READ_PO() ::bg::aig::audit::shadow_read_po()
+#define BG_AUDIT_READ_UNDECLARABLE() \
+    ::bg::aig::audit::shadow_read_undeclarable()
 #else
 #define BG_AUDIT_READ(v, k) static_cast<void>(0)
-#define BG_AUDIT_READ_PO() static_cast<void>(0)
+#define BG_AUDIT_READ_UNDECLARABLE() static_cast<void>(0)
 #endif

@@ -38,9 +38,10 @@ void verify_read_soundness(const aig::ReadFootprint& declared,
               "audit shadow set overflowed — raise ShadowSet::cap to audit "
               "this speculation" +
                   ctx());
-    BG_ASSERT(!actual.po_read,
-              "speculation read the PO array, which no footprint class can "
-              "declare — such a check cannot be speculated soundly" +
+    BG_ASSERT(!actual.undeclarable_read,
+              "speculation read the PO array or a node level, which no "
+              "footprint class can declare — such a check cannot be "
+              "speculated soundly" +
                   ctx());
     std::vector<std::uint32_t> decl(declared.vars);
     std::sort(decl.begin(), decl.end());

@@ -43,8 +43,8 @@ std::string_view read_class_name(aig::Read k);
 /// ContractViolation naming the first undeclared read, the op and the
 /// candidate root.  An overflowed declared footprint is vacuously sound
 /// (the orchestrator treats it as always-stale and re-checks inline); a
-/// shadow overflow or a PO-array read observed during speculation fails
-/// outright.
+/// shadow overflow or a read no class can declare (the PO array, a node
+/// level) observed during speculation fails outright.
 void verify_read_soundness(const aig::ReadFootprint& declared,
                            const aig::audit::ShadowSet& actual,
                            aig::Var root, std::string_view op_name);

@@ -27,12 +27,7 @@ void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
     for (int k = 0; k < 3; ++k) {
         const auto res = opt::check_op(g, v, ops[k], params);
         row[2 + 2 * k] = res.applicable ? 1.0F : 0.0F;
-        // The embedded local gain stays the size delta under every
-        // objective: feature semantics (and trained weights) must not
-        // depend on the flow's cost model.
-        row[3 + 2 * k] = res.applicable
-                             ? static_cast<float>(res.gain.size_delta)
-                             : -1.0F;
+        row[3 + 2 * k] = res.applicable ? static_cast<float>(res.gain) : -1.0F;
     }
 }
 

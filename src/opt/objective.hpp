@@ -75,16 +75,14 @@ public:
         return {1.0, 0.0, 0.0};
     }
 
-    /// True when per-node level annotations must be kept fresh during
-    /// orchestration (local depth deltas feed accepts()).
+    /// True when orchestration judges candidates on fresh levels: the
+    /// walk then fills Gain::depth_delta before calling accepts().
     virtual bool needs_depth() const { return false; }
 
     /// Measure a whole graph: AND count, depth, and the scalar.  Flows
     /// measure every evaluated candidate's optimized graph with it, so an
     /// objective whose scalar needs the graph overrides this alone.
     virtual CostVector measure(const aig::Aig& g) const;
-    /// Scalar cost of a whole graph; lower is better.
-    double cost(const aig::Aig& g) const { return measure(g).value; }
 
     /// Objective-space value of a local transform; positive = improvement.
     virtual double local_gain(const Gain& gain) const {

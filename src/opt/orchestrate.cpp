@@ -30,6 +30,25 @@ struct JournalGuard {
     ~JournalGuard() { g.set_change_log(nullptr); }
 };
 
+/// Whether `objective` accepts the applicable `check` at `v`: the one
+/// place either walk reads levels.  Under needs_depth() the levels are
+/// refreshed if an apply happened since the last refresh, and the gain
+/// carries the candidate's estimate_depth_delta.  Both walks call this
+/// between a check and its apply, with no speculation running, so the
+/// estimate sees the graph the sequential walk sees at that candidate.
+bool judge(Aig& g, Var v, const CheckResult& check,
+           const Objective& objective, bool& levels_stale) {
+    Gain gain{check.gain, 0};
+    if (objective.needs_depth()) {
+        if (levels_stale) {
+            g.update_levels();
+            levels_stale = false;
+        }
+        gain.depth_delta = estimate_depth_delta(g, v, check.cand);
+    }
+    return objective.accepts(gain);
+}
+
 }  // namespace
 
 OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
@@ -42,6 +61,7 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
     res.original_size = g.num_ands();
     res.original_depth = g.depth();  // freshens levels as a side effect
     res.applied.assign(g.num_slots(), OpKind::None);
+    bool levels_stale = false;
 
 #ifdef BOOLGEBRA_AUDIT
     // Audit builds journal the pass and check the journal covers every
@@ -52,11 +72,6 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
     analysis::WriteAudit write_audit;
     write_audit.capture(g);
 #endif
-
-    // Depth-aware objectives read each check's local depth delta, which is
-    // only meaningful against fresh levels; refresh lazily after applies.
-    const bool track_levels = objective.needs_depth();
-    bool levels_stale = false;
 
     // Snapshot the traversal order; nodes created by transformations get
     // higher ids and are deliberately not revisited in this pass.
@@ -71,15 +86,11 @@ OrchestrationResult orchestrate(Aig& g, std::span<const OpKind> decisions,
         }
         poll_cancel(params.cancel, "orchestrate");
         ++res.num_checked;
-        if (track_levels && levels_stale) {
-            g.update_levels();
-            levels_stale = false;
-        }
         const CheckResult check = check_op(g, v, op, params);
         if (!check.applicable) {
             continue;
         }
-        if (!objective.accepts(check.gain)) {
+        if (!judge(g, v, check, objective, levels_stale)) {
             ++res.num_rejected;
             continue;
         }
@@ -102,11 +113,9 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                                          const OptParams& params,
                                          const Objective& objective,
                                          const IntraParallel& intra) {
-    // Depth-aware objectives refresh levels mid-pass, which speculative
-    // checks cannot replay; they (and poolless calls) take the sequential
-    // path, which is the definition of correct.
-    if (intra.pool == nullptr || intra.pool->size() < 2 ||
-        objective.needs_depth()) {
+    // Poolless calls take the sequential path, which is the definition of
+    // correct.
+    if (intra.pool == nullptr || intra.pool->size() < 2) {
         return orchestrate(g, decisions, params, objective);
     }
     BG_EXPECTS(decisions.size() >= g.num_slots(),
@@ -116,6 +125,7 @@ OrchestrationResult orchestrate_parallel(Aig& g,
     res.original_size = g.num_ands();
     res.original_depth = g.depth();  // freshens levels, as sequential does
     res.applied.assign(g.num_slots(), OpKind::None);
+    bool levels_stale = false;
 
     // Candidate roots in the exact sequential visit order.
     const auto order = g.topo_ands();
@@ -258,7 +268,8 @@ OrchestrationResult orchestrate_parallel(Aig& g,
             if (!check.applicable) {
                 continue;
             }
-            if (!objective.accepts(check.gain)) {
+            // No speculation runs here, so judging may refresh levels.
+            if (!judge(g, v, check, objective, levels_stale)) {
                 ++res.num_rejected;
                 continue;
             }
@@ -271,6 +282,7 @@ OrchestrationResult orchestrate_parallel(Aig& g,
                                "orchestrate_parallel commit of var " +
                                    std::to_string(v));
 #endif
+            levels_stale = true;
             res.applied[v] = decisions[v];
             ++res.num_applied;
             ++commits_done;

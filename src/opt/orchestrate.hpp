@@ -58,10 +58,9 @@ struct OrchestrationResult {
 /// journal the pass's writes (Aig::set_change_log) and check that journal
 /// against the graph's state diff.  The objective gates which applicable
 /// candidates are committed: the default SizeObjective applies every one
-/// (pre-objective behavior, bit-identical results); depth-aware
-/// objectives keep the level annotation fresh so each check's local
-/// depth delta is meaningful, and veto candidates whose local gain they
-/// reject (counted in num_rejected).
+/// (pre-objective behavior, bit-identical results); a depth-aware one
+/// judges each candidate's estimate_depth_delta against levels refreshed
+/// lazily after applies, and its vetoes are counted in num_rejected.
 OrchestrationResult orchestrate(aig::Aig& g,
                                 std::span<const OpKind> decisions,
                                 const OptParams& params = {},
@@ -74,7 +73,7 @@ OrchestrationResult orchestrate(aig::Aig& g,
 /// commit time.
 struct IntraParallel {
     /// Pool the speculation waves run on; nullptr (or a pool with fewer
-    /// than two workers) falls back to the sequential path.
+    /// than two workers) runs plain `orchestrate`.
     ThreadPool* pool = nullptr;
 };
 
@@ -85,9 +84,10 @@ struct IntraParallel {
 /// structurally touches; a speculated check whose recorded read-set
 /// intersects a later commit is invalidated and transparently re-checked,
 /// so the committed result — graph, counters, applied vector — is
-/// bit-identical to `orchestrate` at any worker count.  Depth-aware
-/// objectives (which refresh levels mid-pass) and poolless calls run
-/// plain `orchestrate`.
+/// bit-identical to `orchestrate` at any worker count, under every
+/// objective: checks read no levels, and depth judgements with their
+/// level refreshes run on the commit thread while no speculation does.
+/// Poolless calls run plain `orchestrate`.
 OrchestrationResult orchestrate_parallel(
     aig::Aig& g, std::span<const OpKind> decisions,
     const OptParams& params = {},

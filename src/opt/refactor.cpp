@@ -82,10 +82,8 @@ CheckResult check_refactor(const Aig& g, Var v, const OptParams& params) {
     }
     CheckResult res;
     res.applicable = true;
-    res.gain.size_delta = gain;
-    cand.est_gain = gain;
+    res.gain = gain;
     res.cand = std::move(cand);
-    res.gain.depth_delta = estimate_depth_delta(g, v, res.cand);
     return res;
 }
 

@@ -118,10 +118,9 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
             return;
         }
         const int gain = saved - added;
-        if (!best.applicable || gain > best.gain.size_delta) {
+        if (!best.applicable || gain > best.gain) {
             best.applicable = true;
-            best.gain.size_delta = gain;
-            cand.est_gain = gain;
+            best.gain = gain;
             best.cand = std::move(cand);
         }
     };
@@ -187,19 +186,15 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
             neg &= dw(i)[w] == ~tgt[w];
         }
         if (pos || neg) {
-            Candidate cand;
-            cand.operands = {divisors[i]};
-            cand.out = Candidate::operand_lit(0, neg);
-            cand.est_gain = saved;
-            CheckResult res;
-            res.applicable = saved >= min_gain;
-            res.gain.size_delta = saved;
-            res.cand = std::move(cand);
-            if (res.applicable) {
-                res.gain.depth_delta = estimate_depth_delta(g, v, res.cand);
-                return res;
+            if (saved < min_gain) {
+                return {};
             }
-            return {};
+            CheckResult res;
+            res.applicable = true;
+            res.gain = saved;
+            res.cand.operands = {divisors[i]};
+            res.cand.out = Candidate::operand_lit(0, neg);
+            return res;
         }
     }
 
@@ -250,12 +245,11 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
             }
         }
     }
-    if (best.applicable && best.gain.size_delta >= saved) {
+    if (best.applicable && best.gain >= saved) {
         // Cannot do better than freeing the whole MFFC.
-        if (best.gain.size_delta < min_gain) {
+        if (best.gain < min_gain) {
             return {};
         }
-        best.gain.depth_delta = estimate_depth_delta(g, v, best.cand);
         return best;
     }
 
@@ -358,10 +352,9 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
         }
     }
 
-    if (!best.applicable || best.gain.size_delta < min_gain) {
+    if (!best.applicable || best.gain < min_gain) {
         return {};
     }
-    best.gain.depth_delta = estimate_depth_delta(g, v, best.cand);
     return best;
 }
 

@@ -46,18 +46,16 @@ CheckResult check_rewrite(const Aig& g, Var v, const OptParams& params) {
             continue;  // recipe resolves to the root itself
         }
         const int gain = dying.size() - added;
-        if (!best.applicable || gain > best.gain.size_delta) {
+        if (!best.applicable || gain > best.gain) {
             best.applicable = true;
-            best.gain.size_delta = gain;
-            cand.est_gain = gain;
+            best.gain = gain;
             best.cand = std::move(cand);
         }
     }
     const int min_gain = params.allow_zero_gain ? 0 : 1;
-    if (!best.applicable || best.gain.size_delta < min_gain) {
+    if (!best.applicable || best.gain < min_gain) {
         return {};
     }
-    best.gain.depth_delta = estimate_depth_delta(g, v, best.cand);
     return best;
 }
 

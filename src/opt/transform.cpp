@@ -254,18 +254,11 @@ int count_added_nodes(const Aig& g, Var root, const Candidate& cand,
 int estimate_depth_delta(const Aig& g, Var root, const Candidate& cand) {
     // Recipe-space levels: index 0 (const) at 0, operands at their graph
     // levels, each step one above its deepest input.  Complement edges are
-    // free, exactly as in Aig::update_levels.  Recipes are small (cut
-    // leaves + factored steps), so a stack buffer covers the hot path —
-    // this runs once per applicable check inside the static-feature scan.
-    const std::size_t n = 1 + cand.operands.size() + cand.steps.size();
-    std::uint32_t stack_levels[64];
-    std::vector<std::uint32_t> heap_levels;
-    std::uint32_t* levels = stack_levels;
-    if (n > std::size(stack_levels)) {
-        heap_levels.resize(n);
-        levels = heap_levels.data();
-    }
-    levels[0] = 0;
+    // free, exactly as in Aig::update_levels.  Only the walk's depth
+    // judgement calls this, once per applicable candidate, so plain
+    // allocation is fine.
+    std::vector<std::uint32_t> levels(
+        1 + cand.operands.size() + cand.steps.size(), 0);
     for (std::size_t i = 0; i < cand.operands.size(); ++i) {
         levels[1 + i] = g.level(cand.operands[i]);
     }
@@ -282,12 +275,9 @@ int estimate_depth_delta(const Aig& g, Var root, const Candidate& cand) {
 // Apply
 // ---------------------------------------------------------------------------
 
-Gain apply_candidate(Aig& g, Var root, const Candidate& cand) {
+int apply_candidate(Aig& g, Var root, const Candidate& cand) {
     BG_EXPECTS(g.is_and(root) && !g.is_dead(root),
                "apply target must be a live AND node");
-    // The depth estimate needs the pre-apply levels; replace() invalidates
-    // them.
-    const int depth_est = estimate_depth_delta(g, root, cand);
     const auto before = static_cast<int>(g.num_ands());
 
     std::vector<Lit> value(1 + cand.operands.size() + cand.steps.size(),
@@ -324,11 +314,11 @@ Gain apply_candidate(Aig& g, Var root, const Candidate& cand) {
 
     if (aig::lit_var(out) == root) {
         cleanup_created();
-        return {};
+        return 0;
     }
     g.replace(root, out);
     cleanup_created();  // defensive: recipe steps not reachable from out
-    return Gain{before - static_cast<int>(g.num_ands()), depth_est};
+    return before - static_cast<int>(g.num_ands());
 }
 
 CheckResult check_op(const Aig& g, Var v, OpKind op, const OptParams& params) {

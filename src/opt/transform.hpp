@@ -5,9 +5,9 @@
 ///
 ///  * a Candidate is a small recipe that rebuilds the root's function from
 ///    existing nodes (cut leaves or divisors) plus fresh AND steps;
-///  * check_op() evaluates one operation at one node *read-only* and
-///    returns (applicable, gain, candidate) — this feeds both the paper's
-///    static node features and the orchestrated traversal;
+///  * check_op() evaluates one operation at one node *read-only* (its
+///    structure, never its levels) and returns (applicable, size gain,
+///    candidate) for the static node features and the traversal;
 ///  * apply_candidate() materializes a candidate through the structural
 ///    hash and redirects the root (ABC's Dec_GraphUpdateNetwork step).
 ///
@@ -70,12 +70,11 @@ struct OptParams {
     void validate() const;
 };
 
-/// Multi-metric outcome of one local transformation, replacing the old
-/// bare `int gain`.  `size_delta` is the paper's exact AND-count gain;
-/// `depth_delta` is a *local* estimate — the root's level minus the level
-/// the replacement recipe would have, computed from the operands' current
-/// level annotation (see Aig::update_levels; meaningless when levels are
-/// stale).  Positive deltas are improvements on both axes.
+/// Multi-metric outcome of one local transformation, as an Objective
+/// judges it.  `size_delta` is the check's exact AND-count gain;
+/// `depth_delta` is the candidate's estimate_depth_delta, which the
+/// orchestrate walk fills in at commit only when Objective::needs_depth()
+/// is true (0 otherwise).  Positive deltas are improvements on both axes.
 struct Gain {
     int size_delta = 0;
     int depth_delta = 0;
@@ -95,7 +94,6 @@ struct Candidate {
     std::vector<aig::Var> operands;
     std::vector<Step> steps;
     aig::Lit out = 0;  ///< recipe-space literal of the replacement
-    int est_gain = 0;  ///< |MFFC| - added nodes, exact absent cascades
 
     std::size_t num_steps() const { return steps.size(); }
     /// Recipe literal for operand i.
@@ -111,8 +109,9 @@ struct Candidate {
 /// Outcome of a read-only applicability check.
 struct CheckResult {
     bool applicable = false;
-    /// Meaningful when applicable (size_delta >= 1, or 0 with -z).
-    Gain gain;
+    /// |MFFC| - added nodes, exact absent cascades; meaningful when
+    /// applicable (>= 1, or 0 with -z).
+    int gain = 0;
     Candidate cand;
 };
 
@@ -154,16 +153,15 @@ int count_added_nodes(const aig::Aig& g, aig::Var root, const Candidate& cand,
 /// Local depth delta of replacing `root` by `cand`: the root's current
 /// level minus the recipe output's level, where each recipe step sits one
 /// level above its deepest input and operands keep their graph levels.
-/// Valid only while g's level annotation is fresh.
+/// Valid only while g's level annotation is fresh; no check calls it.
 int estimate_depth_delta(const aig::Aig& g, aig::Var root,
                          const Candidate& cand);
 
 /// Materialize the candidate and redirect `root`.  Returns the measured
-/// AND-count change plus the pre-apply local depth estimate (positive =
-/// smaller / shallower); cascading merges can make size_delta exceed
-/// est_gain.  When the recipe resolves to root itself the graph is left
-/// untouched and a zero Gain is returned.
-Gain apply_candidate(aig::Aig& g, aig::Var root, const Candidate& cand);
+/// AND-count change (positive = smaller); cascading merges can make it
+/// exceed the check's gain.  When the recipe resolves to root itself the
+/// graph is left untouched and 0 is returned.
+int apply_candidate(aig::Aig& g, aig::Var root, const Candidate& cand);
 
 /// Read-only applicability check of one operation at one node.
 CheckResult check_op(const aig::Aig& g, aig::Var v, OpKind op,

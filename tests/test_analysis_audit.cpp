@@ -80,7 +80,7 @@ TEST(ReadSoundness, FlagsRightVarWrongClass) {
 TEST(ReadSoundness, FlagsPoArrayRead) {
     const auto fp = declared_with({fp_encode(3, Read::Struct)});
     audit::ShadowSet shadow;
-    shadow.po_read = true;
+    shadow.undeclarable_read = true;
     EXPECT_THROW(verify_read_soundness(fp, shadow, 3, "test-op"),
                  ContractViolation);
 }
@@ -207,14 +207,36 @@ TEST(AuditHooks, AccessorsReportToActiveShadow) {
     EXPECT_TRUE(has(Read::Struct));
     EXPECT_TRUE(has(Read::Ref));
     EXPECT_TRUE(has(Read::Fanout));
-    EXPECT_FALSE(shadow.po_read);
+    EXPECT_FALSE(shadow.undeclarable_read);
 
     shadow.clear();
     {
         const audit::ShadowScope scope(shadow);
         (void)g.pos();
     }
-    EXPECT_TRUE(shadow.po_read);
+    EXPECT_TRUE(shadow.undeclarable_read);
+}
+
+TEST(AuditHooks, LevelReadFailsSoundness) {
+    // Levels are refreshed on the parallel orchestrator's commit thread
+    // without journaling, so no footprint class can declare a level read:
+    // a speculation that reads one fails even with the var's structure
+    // declared.
+    Aig g = bg::test::random_aig(4, 10, 1, 3);
+    const Var v = lit_var(g.pos()[0]);
+    g.update_levels();
+
+    ReadFootprint fp;
+    audit::ShadowSet shadow;
+    {
+        const FootprintScope declare(fp);
+        const audit::ShadowScope observe(shadow);
+        fp_touch(v, Read::Struct);
+        (void)g.level(v);
+    }
+    EXPECT_TRUE(shadow.undeclarable_read);
+    EXPECT_THROW(verify_read_soundness(fp, shadow, v, "level-read"),
+                 ContractViolation);
 }
 
 TEST(AuditHooks, UnderDeclaredCheckIsCaught) {

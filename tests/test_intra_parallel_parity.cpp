@@ -3,7 +3,8 @@
 /// multi-round run_design_flow with FlowConfig::intra_workers at 1/2/4 on
 /// a pool of that size must reproduce the sequential, inline
 /// (intra_workers = 0, no pool) result field for field on every registry
-/// design — no float tolerance.  This is the user-visible
+/// design — no float tolerance — under size and the depth-aware
+/// objectives alike.  This is the user-visible
 /// acceptance bar for the speculate/ordered-commit orchestrator:
 /// parallelism is a pure latency optimization, invisible in the output.
 
@@ -15,6 +16,7 @@
 #include "circuits/registry.hpp"
 #include "core/flow.hpp"
 #include "core/flow_engine.hpp"
+#include "opt/objective.hpp"
 
 namespace {
 
@@ -37,6 +39,13 @@ FlowConfig parity_flow() {
     return fc;
 }
 
+void expect_same_cost(const bg::opt::CostVector& got,
+                      const bg::opt::CostVector& want) {
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.depth, want.depth);
+}
+
 void expect_bit_identical(const FlowResult& got, const FlowResult& want) {
     EXPECT_EQ(got.original_size, want.original_size);
     EXPECT_EQ(got.predictions, want.predictions);
@@ -46,21 +55,37 @@ void expect_bit_identical(const FlowResult& got, const FlowResult& want) {
     EXPECT_EQ(got.bg_best_ratio, want.bg_best_ratio);
     EXPECT_EQ(got.bg_mean_ratio, want.bg_mean_ratio);
     EXPECT_EQ(got.best_decisions, want.best_decisions);
+    ASSERT_EQ(got.costs.size(), want.costs.size());
+    for (std::size_t i = 0; i < got.costs.size(); ++i) {
+        SCOPED_TRACE("candidate " + std::to_string(i));
+        expect_same_cost(got.costs[i], want.costs[i]);
+    }
+    expect_same_cost(got.best_cost, want.best_cost);
 }
 
 TEST(IntraParallelParity, RunFlowIdenticalAcrossIntraWorkerCounts) {
     const BoolGebraModel model{parity_model_config()};
-    for (const auto& name : bg::circuits::benchmark_names()) {
-        const auto design = bg::circuits::make_benchmark_scaled(name, 0.3);
-        const FlowResult reference = run_flow(design, model, parity_flow());
+    // Null is the default size objective; depth and weighted judge each
+    // candidate's depth on the commit walk.
+    for (const bg::opt::ObjectivePtr& objective :
+         {bg::opt::ObjectivePtr{}, bg::opt::make_objective("depth"),
+          bg::opt::make_objective("weighted:1,2")}) {
+        FlowConfig base = parity_flow();
+        base.objective = objective;
+        const std::string objective_name = flow_objective(base).name();
+        for (const auto& name : bg::circuits::benchmark_names()) {
+            const auto design = bg::circuits::make_benchmark_scaled(name, 0.3);
+            const FlowResult reference = run_flow(design, model, base);
 
-        for (const std::size_t workers : {1UL, 2UL, 4UL}) {
-            SCOPED_TRACE(name + " intra_workers=" + std::to_string(workers));
-            bg::ThreadPool pool(workers);
-            FlowConfig cfg = parity_flow();
-            cfg.intra_workers = workers;
-            expect_bit_identical(
-                run_flow(design, model, cfg, &pool), reference);
+            for (const std::size_t workers : {1UL, 2UL, 4UL}) {
+                SCOPED_TRACE(objective_name + " " + name +
+                             " intra_workers=" + std::to_string(workers));
+                bg::ThreadPool pool(workers);
+                FlowConfig cfg = base;
+                cfg.intra_workers = workers;
+                expect_bit_identical(
+                    run_flow(design, model, cfg, &pool), reference);
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 /// The speculate/ordered-commit orchestrator against its sequential
 /// reference: bit-identical graphs, counters and applied vectors at 1/2/4
 /// intra-workers, rollback determinism under conflicts, repeatable
-/// speculation counters, and the depth-objective fallback.
+/// speculation counters, and depth-aware objectives speculating on the
+/// same walk.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,7 @@ void expect_identical(const OrchestrationResult& got,
                       const OrchestrationResult& want) {
     EXPECT_EQ(got.original_size, want.original_size);
     EXPECT_EQ(got.final_size, want.final_size);
+    EXPECT_EQ(got.final_depth, want.final_depth);
     EXPECT_EQ(got.applied, want.applied);
     EXPECT_EQ(got.num_checked, want.num_checked);
     EXPECT_EQ(got.num_applied, want.num_applied);
@@ -133,25 +135,43 @@ TEST(OrchestrateParallel, RepeatedRunsAreDeterministic) {
     }
 }
 
-TEST(OrchestrateParallel, DepthObjectiveTakesSequentialPath) {
-    // Depth-aware objectives refresh levels mid-pass; the parallel path
-    // cannot speculate against them and must fall back (no speculation)
-    // while still matching plain orchestrate bit for bit.
-    const Aig design = bg::circuits::make_benchmark_scaled("b09", 0.4);
-    const DecisionVector d = mixed_decisions(design);
-    const bg::opt::DepthObjective depth_obj;
+TEST(OrchestrateParallel, DepthAwareObjectivesSpeculateBitIdentically) {
+    // Checks read no levels; depth-aware objectives judge each candidate's
+    // depth on the commit thread against levels refreshed there.  So
+    // depth and weighted passes speculate like size and still match plain
+    // orchestrate bit for bit.  Round-robin decisions make the depth
+    // objective veto candidates, so accepts() decides commits here.
+    std::size_t total_rejected = 0;
+    for (const std::string spec : {"depth", "weighted:1,2"}) {
+        const auto objective = bg::opt::make_objective(spec);
+        for (const auto& name : bg::circuits::benchmark_names()) {
+            const Aig design = bg::circuits::make_benchmark_scaled(name, 0.4);
+            const DecisionVector d = mixed_decisions(design);
 
-    Aig ref = design;
-    const auto res_ref = orchestrate(ref, d, {}, depth_obj);
+            Aig ref = design;
+            const auto res_ref = orchestrate(ref, d, {}, *objective);
+            const auto fp_ref = structural_fingerprint(ref);
+            total_rejected += res_ref.num_rejected;
 
-    ThreadPool pool(4);
-    IntraParallel intra;
-    intra.pool = &pool;
-    Aig g = design;
-    const auto res = orchestrate_parallel(g, d, {}, depth_obj, intra);
-    expect_identical(res, res_ref);
-    EXPECT_EQ(res.num_speculated, 0u);
-    EXPECT_EQ(structural_fingerprint(g), structural_fingerprint(ref));
+            for (const std::size_t workers : {1UL, 2UL, 4UL}) {
+                SCOPED_TRACE(spec + " " + name +
+                             " workers=" + std::to_string(workers));
+                ThreadPool pool(workers);
+                IntraParallel intra;
+                intra.pool = &pool;
+                Aig g = design;
+                const auto res =
+                    orchestrate_parallel(g, d, {}, *objective, intra);
+                expect_identical(res, res_ref);
+                EXPECT_EQ(structural_fingerprint(g), fp_ref);
+                if (workers >= 2) {
+                    EXPECT_GT(res.num_speculated, 0u);
+                }
+            }
+        }
+    }
+    EXPECT_GT(total_rejected, 0u)
+        << "no candidate was vetoed; accepts() went unexercised";
 }
 
 TEST(OrchestrateParallel, ResultStaysFunctionallyEquivalent) {

@@ -19,6 +19,7 @@ using bg::opt::check_refactor;
 using bg::opt::check_resub;
 using bg::opt::check_rewrite;
 using bg::opt::CheckResult;
+using bg::opt::estimate_depth_delta;
 using bg::opt::OpKind;
 using bg::opt::OptParams;
 
@@ -46,9 +47,9 @@ TEST(Rewrite, FindsMuxCollapse) {
     EXPECT_EQ(g.num_ands(), 3u);
     const auto res = check_rewrite(g, lit_var(f));
     ASSERT_TRUE(res.applicable);
-    EXPECT_EQ(res.gain.size_delta, 3);
+    EXPECT_EQ(res.gain, 3);
     const auto actual = apply_candidate(g, lit_var(f), res.cand);
-    EXPECT_EQ(actual.size_delta, 3);
+    EXPECT_EQ(actual, 3);
     g.check_integrity(Aig::CheckLevel::Strict);
     EXPECT_EQ(g.num_ands(), 0u);
     EXPECT_EQ(g.po(0), a);
@@ -89,7 +90,7 @@ TEST(Refactor, FactorsDistributedProduct) {
     EXPECT_EQ(g.num_ands(), 3u);
     const auto res = check_refactor(g, lit_var(f));
     ASSERT_TRUE(res.applicable);
-    EXPECT_GE(res.gain.size_delta, 1);
+    EXPECT_GE(res.gain, 1);
     Aig before = g;
     apply_candidate(g, lit_var(f), res.cand);
     g.check_integrity(Aig::CheckLevel::Strict);
@@ -130,7 +131,7 @@ TEST(Resub, ZeroResubPrefersWholeMffc) {
     g.add_po(y);
     const auto res = check_resub(g, lit_var(y));
     ASSERT_TRUE(res.applicable);
-    EXPECT_EQ(res.gain.size_delta, 2)
+    EXPECT_EQ(res.gain, 2)
         << "both nodes of y's cone should be freed";
 }
 
@@ -153,7 +154,7 @@ TEST(AllOps, GainEstimatesAreHonest) {
                 Aig before = g;
                 const auto actual = apply_candidate(g, v, res.cand);
                 g.check_integrity(Aig::CheckLevel::Strict);
-                ASSERT_GE(actual.size_delta, res.gain.size_delta)
+                ASSERT_GE(actual, res.gain)
                     << to_string(op) << " at node " << v << " seed " << seed;
                 ASSERT_EQ(check_equivalence(before, g),
                           CecVerdict::Equivalent)
@@ -233,8 +234,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
 }
 
 /// Digest of every check result of `g`: each live AND x {rw, rs, rf}, in
-/// topological order, over applicability, both gains, the estimate and
-/// the whole candidate recipe.
+/// topological order, over applicability, the size gain, the candidate's
+/// depth estimate on fresh levels, the size gain again and the whole
+/// candidate recipe — the values and order the recorded digests hash.
 std::uint64_t check_result_digest(Aig g) {
     g.update_levels();
     std::uint64_t h = 0;
@@ -246,9 +248,9 @@ std::uint64_t check_result_digest(Aig g) {
              {OpKind::Rewrite, OpKind::Resub, OpKind::Refactor}) {
             const CheckResult r = check_op(g, v, op);
             add(r.applicable ? 1 : 0);
-            add(r.gain.size_delta);
-            add(r.gain.depth_delta);
-            add(r.cand.est_gain);
+            add(r.gain);
+            add(r.applicable ? estimate_depth_delta(g, v, r.cand) : 0);
+            add(r.gain);
             add(static_cast<std::int64_t>(r.cand.operands.size()));
             for (const Var o : r.cand.operands) {
                 add(o);
